@@ -15,7 +15,11 @@ importable, a ``numba`` profile per point times the JIT path against
 the reference engine.  A top-level ``approx`` profile trains a small
 prototype classifier and measures the accuracy cost and encode-time
 gain of multifold approximate encoding at 50% folds -- the degradation
-ladder's ``approx`` tier.
+ladder's ``approx`` tier.  A top-level ``readout`` profile times the
+query path's packed sign read-out (``encode_signs_packed``, a
+comparator on the carry-save bit planes) against the counts read-out
+it replaced (``encode_batch`` -> sign -> ``pack_bits``) at batch 1 and
+32 on the served shape (256 features, window 3, D = 2048 and 8192).
 
 Usage::
 
@@ -30,9 +34,11 @@ regressed against the monolith at ``dim >= 4096``
 (``--min-planner-ratio``, default 1.0; smaller dims are report-only --
 the fold slab is bandwidth-noise dominated there), numba ran slower
 than ``--min-numba-speedup`` x reference (only when numba is present),
-or approximate encoding cost more than ``--max-approx-drop`` accuracy
-points (default 2.0) or failed to reduce encode time.  CI runs the
-quick grid with it so a kernel regression fails the build.
+approximate encoding cost more than ``--max-approx-drop`` accuracy
+points (default 2.0) or failed to reduce encode time, or the packed
+sign read-out lost bit identity with counts + sign + pack or ran slower
+than it at any ``readout`` point.  CI runs the quick grid with it so a
+kernel regression fails the build.
 """
 
 from __future__ import annotations
@@ -48,6 +54,8 @@ import tracemalloc
 import numpy as np
 
 from repro.core.encoders import GenericEncoder, NgramEncoder
+from repro.core.hypervector import to_binary
+from repro.core.kernels import pack_bits
 
 OUT_PATH = pathlib.Path("BENCH_encode.json")
 
@@ -71,6 +79,12 @@ QUICK_GRID = [
 #: dims below this are exempt from the planner no-regression gate: the
 #: fold slab fits in cache and timings are allocator/bandwidth noise
 PLANNER_GATE_MIN_DIM = 4096
+
+#: the packed read-out grid (both profiles): the served model's shape
+#: (k = 254 folded windows) at single-query and full-batch sizes
+READOUT_DIMS = (2048, 8192)
+READOUT_BATCHES = (1, 32)
+READOUT_FEATURES = 256
 
 ENCODER_CLASSES = {"generic": GenericEncoder, "ngram": NgramEncoder}
 
@@ -254,6 +268,61 @@ def run_approx_profile(quick: bool, fraction: float = 0.5, seed: int = 11,
     }
 
 
+def _seconds_per_call(fn, inner: int) -> float:
+    t0 = time.perf_counter()
+    for _ in range(inner):
+        fn()
+    return (time.perf_counter() - t0) / inner
+
+
+def run_readout_profile(repeats: int = 3, seed: int = 13):
+    """Packed sign read-out vs. counts + sign + pack, per query batch.
+
+    Both sides encode the same batch with the same fitted encoder; the
+    baseline is the pre-plane query path (int32 counts, then
+    ``where``/``to_binary``/``pack_bits``).  Sides are interleaved and
+    each keeps its best time over ``5 * repeats`` rounds.
+    """
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(max(READOUT_BATCHES), READOUT_FEATURES))
+    points = []
+    for dim in READOUT_DIMS:
+        enc = _make_encoder("generic", dim, 3, "packed").fit(X)
+        for batch in READOUT_BATCHES:
+            Q = X[:batch]
+
+            def packed():
+                return enc.encode_signs_packed(Q)
+
+            def via_counts():
+                counts = enc.encode_batch(Q)
+                return pack_bits(to_binary(np.where(counts >= 0, 1, -1)))
+
+            identical = bool(np.array_equal(packed(), via_counts()))
+            inner = max(1, 64 // batch)
+            t_packed = t_counts = float("inf")
+            for _ in range(5 * repeats):
+                t_packed = min(t_packed, _seconds_per_call(packed, inner))
+                t_counts = min(t_counts, _seconds_per_call(via_counts, inner))
+            points.append({
+                "dim": dim,
+                "batch": batch,
+                "n_features": READOUT_FEATURES,
+                "window": 3,
+                "packed_ms": round(t_packed * 1e3, 4),
+                "counts_sign_pack_ms": round(t_counts * 1e3, 4),
+                "speedup": round(t_counts / t_packed, 2),
+                "identical": identical,
+            })
+            print(
+                f"readout  dim={dim:5d} batch={batch:3d}  "
+                f"packed {t_packed * 1e3:7.3f} ms  "
+                f"counts+sign+pack {t_counts * 1e3:7.3f} ms  "
+                f"speedup {t_counts / t_packed:5.2f}x  identical={identical}"
+            )
+    return points
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -278,6 +347,7 @@ def main(argv=None) -> int:
     grid = QUICK_GRID if args.quick else FULL_GRID
     results = run_grid(grid, repeats=args.repeats)
     approx = run_approx_profile(args.quick, repeats=args.repeats)
+    readout = run_readout_profile(repeats=args.repeats)
     print(
         f"approx@{approx['fraction']:.0%}: "
         f"acc {approx['accuracy_exact']:.4f} -> {approx['accuracy_approx']:.4f} "
@@ -294,6 +364,7 @@ def main(argv=None) -> int:
         ),
         "results": results,
         "approx": approx,
+        "readout": readout,
     }
     args.out.write_text(json.dumps(report, indent=2, default=float) + "\n")
     print(f"wrote {args.out}")
@@ -342,6 +413,17 @@ def main(argv=None) -> int:
                 f"approx: encode time ratio {approx['encode_time_ratio']} "
                 "did not improve on exact encoding"
             )
+        for r in readout:
+            tag = f"readout dim={r['dim']} batch={r['batch']}"
+            if not r["identical"]:
+                failures.append(
+                    f"{tag}: sign words differ from counts + sign + pack"
+                )
+            if r["speedup"] < 1.0:
+                failures.append(
+                    f"{tag}: packed read-out {r['packed_ms']} ms slower "
+                    f"than counts + sign + pack {r['counts_sign_pack_ms']} ms"
+                )
         for msg in failures:
             print(f"CHECK FAILED: {msg}", file=sys.stderr)
         return 1 if failures else 0

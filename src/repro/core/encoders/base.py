@@ -24,6 +24,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.core.kernels import sign_words
 from repro.core.levels import LevelTable, Quantizer
 from repro.obs import trace as obs_trace
 
@@ -130,6 +131,31 @@ class Encoder(ABC):
         chunk writes a disjoint slice of the preallocated output, so the
         result is identical for any worker count.
         """
+        return self._encode_rows(
+            X, chunk, n_jobs, self._encode_chunk, self.dim, np.int32
+        )
+
+    def encode_signs_packed(
+        self,
+        X: np.ndarray,
+        chunk: Optional[int] = None,
+        n_jobs: Optional[int] = None,
+    ) -> np.ndarray:
+        """Encode a batch to sign-quantized packed query words.
+
+        Returns ``(N, ceil(dim/64))`` uint64 words equal to
+        ``pack_bits(to_binary(where(encode_batch(X) >= 0, 1, -1)))``:
+        bit set where the count is negative, a zero count is +1 (bit 0),
+        padding bits above ``dim`` are zero.  Chunking, thread fan-out
+        and the ``encode`` span are :meth:`encode_batch`'s.
+        """
+        words = -(-self.dim // 64)
+        return self._encode_rows(
+            X, chunk, n_jobs, self._encode_signs_chunk, words, np.uint64
+        )
+
+    def _encode_rows(self, X, chunk, n_jobs, encode_chunk, width, dtype):
+        """Chunked, optionally threaded ``encode_chunk`` over a batch."""
         self._check_fitted()
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.n_features:
@@ -139,7 +165,7 @@ class Encoder(ABC):
             )
         if chunk is None:
             chunk = self._auto_chunk(len(X))
-        out = np.empty((len(X), self.dim), dtype=np.int32)
+        out = np.empty((len(X), width), dtype=dtype)
         spans = [
             (start, min(start + chunk, len(X)))
             for start in range(0, len(X), chunk)
@@ -152,14 +178,14 @@ class Encoder(ABC):
             if jobs > 1:
                 def _run(span):
                     start, stop = span
-                    out[start:stop] = self._encode_chunk(X[start:stop])
+                    out[start:stop] = encode_chunk(X[start:stop])
 
                 with ThreadPoolExecutor(max_workers=jobs) as pool:
                     # list() so every future is awaited and errors propagate
                     list(pool.map(_run, spans))
             else:
                 for start, stop in spans:
-                    out[start:stop] = self._encode_chunk(X[start:stop])
+                    out[start:stop] = encode_chunk(X[start:stop])
             if sp.recording:
                 # logical (engine-independent) per-sample ops x batch size
                 profile = self._op_profile()
@@ -208,6 +234,10 @@ class Encoder(ABC):
     @abstractmethod
     def _encode_chunk(self, X: np.ndarray) -> np.ndarray:
         """Encode a small batch; subclasses implement the actual math."""
+
+    def _encode_signs_chunk(self, X: np.ndarray) -> np.ndarray:
+        """Packed sign words of a small batch (default: from the counts)."""
+        return sign_words(self._encode_chunk(X))
 
     def _engine_label(self) -> str:
         """Engine tag attached to encode spans (overridden where selectable)."""

@@ -235,6 +235,11 @@ class GenericEncoder(Encoder):
         bins = self.quantizer.transform(X)
         return plan.execute(self._plan_sources(plan), bins)
 
+    def _encode_signs_chunk(self, X: np.ndarray) -> np.ndarray:
+        plan = self.encode_plan()
+        bins = self.quantizer.transform(X)
+        return plan.execute_signs(self._plan_sources(plan), bins)
+
     def _encode_chunk_reference(self, X: np.ndarray) -> np.ndarray:
         """The pre-IR direct translation of Eq. 1, kept as ground truth.
 

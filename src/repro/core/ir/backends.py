@@ -15,8 +15,9 @@ Shipped backends:
   (int8 level gathers, ``np.roll`` permutes, int8 products).
 - ``packed-uint64`` -- the bit-domain fast path of
   :mod:`repro.core.kernels` (pre-permuted packed tables, word-wise
-  XOR folds, carry-save-adder bundling), refactored here into
-  per-primitive methods.
+  XOR folds, carry-save-adder bundling into bit planes), refactored
+  here into per-primitive methods.  Its sign read-out compares the
+  planes against ``k // 2 + 1`` and never builds int32 counts.
 - ``numba-jit`` -- optional fully-fused scalar loops compiled by
   numba, auto-detected at import (see
   :mod:`repro.core.ir.numba_backend`); absent silently when numba is
@@ -76,7 +77,8 @@ class Backend:
     Subclasses provide the primitive methods (``xor_fold``, ``bundle``,
     ``popcount_search``) plus :meth:`encode` -- the fused execution of
     a whole encode plan.  ``encode`` must return the same ``(N, dim)``
-    int32 count matrix for any backend and any legal plan.
+    int32 count matrix for any backend and any legal plan, and
+    :meth:`encode_signs` the same packed sign words.
     """
 
     #: registry name (also what ``plan.backend`` reports)
@@ -93,6 +95,19 @@ class Backend:
     def encode(self, plan, sources: EncodeSources,
                bins: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
+
+    def encode_signs(self, plan, sources: EncodeSources,
+                     bins: np.ndarray) -> np.ndarray:
+        """The plan's sign-quantized encodings as packed query words.
+
+        ``(N, ceil(dim/64))`` uint64, bit set where the count is
+        negative (a zero count is +1, bit 0).  The default reads the
+        sign off :meth:`encode`'s counts; a bit-domain backend can skip
+        the counts entirely.
+        """
+        from repro.core.kernels import sign_words
+
+        return sign_words(self.encode(plan, sources, bins))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r} priority={self.priority}>"
@@ -259,11 +274,11 @@ class PackedUint64Backend(Backend):
             fold ^= kernel.id_words[idx, None, :]
         return fold
 
-    def bundle(self, fold: np.ndarray) -> np.ndarray:
-        """Per-bit-position counts across the block's windows."""
-        from repro.core.kernels import bit_slice_counts
+    def bundle(self, fold: np.ndarray) -> list:
+        """Carry-save bit planes of the block's per-bit-position counts."""
+        from repro.core.kernels import bit_slice_planes
 
-        return bit_slice_counts(fold)
+        return bit_slice_planes(fold)
 
     def popcount_search(self, query_words: np.ndarray,
                         class_words: np.ndarray) -> np.ndarray:
@@ -274,8 +289,17 @@ class PackedUint64Backend(Backend):
 
     # -- fused plan execution ----------------------------------------------
 
-    def encode(self, plan, sources: EncodeSources,
-               bins: np.ndarray) -> np.ndarray:
+    def bundle_planes(self, plan, sources: EncodeSources,
+                      bins: np.ndarray):
+        """Fold and bundle every window block: ``(planes, k)``.
+
+        ``planes`` are the bit-sliced counts of set bits over the ``k``
+        folded windows, shape ``(N, words)`` each, least significant
+        first.  Window blocks (large-``dim`` plans) ripple-add their
+        planes, so both read-outs see one bit-sliced count.
+        """
+        from repro.core.kernels import add_planes
+
         kernel = sources.kernel
         if kernel is None:
             raise ValueError(f"{self.name} backend needs a packed kernel")
@@ -285,15 +309,44 @@ class PackedUint64Backend(Backend):
         # window-major layout: bundling reduces over the leading axis and
         # every gather/XOR below runs on contiguous (N, W) slabs
         bins_t = np.ascontiguousarray(bins.T)
-        ones: Optional[np.ndarray] = None
+        planes: Optional[list] = None
         for idx, _ in _window_blocks(plan, n_win):
             fold = self.xor_fold(kernel, bins_t, idx,
                                  fuse_pairs=plan.fuse_pairs)
-            counts = self.bundle(fold)
-            ones = counts if ones is None else ones.__iadd__(counts)
+            block = self.bundle(fold)
+            del fold  # free the slab before the next block's gather
+            planes = block if planes is None else add_planes(planes, block)
+        # counts never exceed k: planes above its bit length are zero
+        return planes[:k.bit_length()], k
+
+    def encode(self, plan, sources: EncodeSources,
+               bins: np.ndarray) -> np.ndarray:
+        from repro.core.kernels import plane_counts
+
+        planes, k = self.bundle_planes(plan, sources, bins)
+        ones = plane_counts(planes)[:, :plan.ctx.dim]
         # bipolar read-out: each of the k bundled windows contributed
         # +1 (bit clear) or -1 (bit set) per dimension
-        return (k - 2 * ones[:, :plan.ctx.dim]).astype(np.int32)
+        counts = ones * -2
+        counts += k
+        return counts
+
+    def encode_signs(self, plan, sources: EncodeSources,
+                     bins: np.ndarray) -> np.ndarray:
+        """Sign words straight from the planes, no counts built.
+
+        The count ``k - 2 * ones`` is negative (bit 1) exactly when
+        ``ones >= k // 2 + 1``; a tie (count 0, even ``k``) stays +1,
+        bit 0.  For ``k = 254`` the comparator is just the top plane.
+        """
+        from repro.core.kernels import planes_at_least
+
+        planes, k = self.bundle_planes(plan, sources, bins)
+        words = planes_at_least(planes, k // 2 + 1)
+        tail = plan.ctx.dim % 64
+        if tail:  # padding bits above dim stay zero
+            words[:, -1] &= np.uint64((1 << tail) - 1)
+        return words
 
 
 class BackendRegistry:

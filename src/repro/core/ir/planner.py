@@ -162,6 +162,11 @@ class KernelPlan:
         """Run the encode pipeline on quantized bins ``(N, n_features)``."""
         return self.backend.encode(self, sources, bins)
 
+    def execute_signs(self, sources: EncodeSources,
+                      bins: np.ndarray) -> np.ndarray:
+        """The same pipeline read out as packed sign words ``(N, words)``."""
+        return self.backend.encode_signs(self, sources, bins)
+
     # -- introspection -------------------------------------------------------
 
     @property

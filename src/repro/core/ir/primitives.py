@@ -25,7 +25,7 @@ The nodes (one encode/search pipeline, in order)::
   features and fold them with XOR; binding the per-window id is one
   more XOR in the same loop.
 - :class:`Bundle` -- accumulate per-bit-position counts across windows
-  (the carry-save adder tree of ``bit_slice_counts``).
+  (the carry-save adder tree of ``bit_slice_planes``).
 - :class:`PopcountSearch` -- Hamming distance of a packed query to
   every packed class vector (XOR + popcount), the associative-search
   primitive of the inference stage.

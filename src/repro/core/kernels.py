@@ -14,9 +14,18 @@ This module is that software fast path:
   ``uint64`` words (64 dimensions per word, little bit order);
 - :func:`popcount` / :func:`popcount_words` -- fast population count
   (``np.bitwise_count`` on NumPy >= 2.0, a byte lookup table otherwise);
-- :func:`bit_slice_counts` -- per-bit-position counts across many packed
-  words via a carry-save adder tree, i.e. bundling without unpacking
-  every window;
+- :func:`bit_slice_planes` -- bundling without unpacking every window:
+  a carry-save adder tree reduces ``k`` packed slabs to the
+  ``k.bit_length()`` bit planes of the per-bit-position count;
+  :func:`add_planes` ripple-adds two such counts (window blocks);
+- two read-outs of the same planes: :func:`plane_counts` (int32
+  counts, accumulated in the narrowest type that holds ``k``) and
+  :func:`planes_at_least`, a bit-sliced comparator.  A binary query's
+  sign word is ``planes_at_least(planes, k // 2 + 1)``: the bipolar
+  count ``k - 2 * ones`` is negative exactly there, and a tie (count 0)
+  stays +1, bit 0 -- the same rule as :func:`sign_words`, the
+  counts-side equivalent.  :func:`bit_slice_counts` is planes plus the
+  counts read-out;
 - :class:`GenericPackedKernel` -- the GENERIC/ngram construction run
   entirely in the packed domain, bit-identical to the reference encoder.
 
@@ -106,29 +115,47 @@ def packed_hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # -- bit-slice bundling ------------------------------------------------------
+# Bundling counts, per bit position, how many of ``m`` packed word slabs
+# have that bit set.  A carry-save adder tree folds three same-weight
+# slabs into a sum plus a carry of double weight (two XORs and three
+# AND/ORs per word), so the count comes out *bit-sliced*: plane ``b``
+# holds bit ``b`` of every position's count, ``m.bit_length()`` planes
+# in all.  Two read-outs consume the same planes -- :func:`plane_counts`
+# (the int32 counts training needs) and :func:`planes_at_least` (the
+# sign words a binary query needs, never leaving the packed domain).
 
-def bit_slice_counts(words: np.ndarray) -> np.ndarray:
-    """Per-bit-position counts across the leading axis of packed words.
+#: per-slab size at or below which the adder tree runs breadth-first
+#: (one NumPy call per stage over every slab, in place) instead of
+#: depth-first (one call per adder, each slab cache-resident); the two
+#: cross near 12 KiB per slab on a 2-vCPU x86-64 VM (254 slabs)
+_BREADTH_MAX_BYTES = 8 * 1024
 
-    ``words`` has shape ``(m, ..., W)``; the result has shape
-    ``(..., W * 64)`` with ``result[..., k]`` = how many of the ``m``
-    slices have bit ``k`` set.
 
-    Instead of unpacking every slice (``8 * m * W`` bytes of traffic),
-    the ``m`` words are reduced with a carry-save adder tree: two XORs
-    and three AND/ORs fold three same-weight words into a sum plus a
-    carry of double weight, so only ~log2(m) *bit planes* are ever
-    unpacked.  This is the software analogue of the bit-serial
-    accumulators HDC accelerators bundle with.
+def bit_slice_planes(words: np.ndarray) -> list:
+    """Carry-save bit planes of the per-bit-position count over axis 0.
+
+    ``words`` has shape ``(m, ..., W)``; the result is a list of
+    ``m.bit_length()`` arrays of shape ``(..., W)``, least significant
+    first: bit ``k`` of ``planes[b]`` is bit ``b`` of how many of the
+    ``m`` slabs have bit ``k`` set.  Only ~log2(m) planes are ever
+    materialized -- the software analogue of the bit-serial
+    accumulators HDC accelerators bundle with.  ``words`` is not
+    modified.
     """
     words = np.asarray(words, dtype=np.uint64)
     if words.ndim < 2:
         raise ValueError(f"expected (m, ..., W) packed words, got {words.shape}")
-    m = len(words)
-    flat_bits = words.shape[-1] * _WORD
-    out = np.zeros(words.shape[1:-1] + (flat_bits,), dtype=np.int32)
-    level = [words[i] for i in range(m)]
-    shift = 0
+    if len(words) == 0:
+        return []
+    if words[0].nbytes <= _BREADTH_MAX_BYTES:
+        return _planes_breadth_first(words)
+    return _planes_depth_first(words)
+
+
+def _planes_depth_first(words: np.ndarray) -> list:
+    """One adder per NumPy call; each fresh sum is the next adder's input."""
+    planes = []
+    level = [words[i] for i in range(len(words))]
     while level:
         carries = []
         pool = level
@@ -144,15 +171,159 @@ def bit_slice_counts(words: np.ndarray) -> np.ndarray:
             b = pool.pop()
             pool.append(a ^ b)
             carries.append(a & b)
-        if pool:
-            plane = np.unpackbits(
-                np.ascontiguousarray(pool[0]).view(np.uint8),
-                axis=-1, bitorder="little",
-            )
-            out += plane.astype(np.int32) << shift
+        planes.append(pool[0])
         level = carries
-        shift += 1
+    return planes
+
+
+def _full_add(a, b, c, tmp) -> None:
+    """In-place full adder: carry -> ``a``, sum -> ``c`` (``b`` clobbered)."""
+    b ^= a                                # a ^ b
+    a ^= c                                # a ^ c
+    np.bitwise_and(a, b, out=tmp)
+    a ^= tmp                              # (a ^ c) & ~(a ^ b)
+    a ^= c                                # majority(a, b, c)
+    c ^= b                                # a ^ b ^ c
+
+
+def _planes_breadth_first(words: np.ndarray) -> list:
+    """Every adder of a stage in one NumPy call, on a private copy.
+
+    A stage full-adds three equal thirds of the same-weight slabs: the
+    sums stay at this weight, the carries move up one.  Small slabs
+    make the depth-first tree pure call overhead; here a level costs
+    ~log3(m) stages instead of ~m/2 adders.
+    """
+    x = words.copy()
+    tmp = np.empty_like(x[: len(x) // 3 + 1])
+    planes = []
+    while True:
+        carries = []
+        while len(x) >= 3:
+            t = len(x) // 3
+            _full_add(x[:t], x[t:2 * t], x[2 * t:3 * t], tmp[:t])
+            carries.append(x[:t])
+            x = x[2 * t:]  # the sums, then the slabs not yet added
+        if len(x) == 2:  # half adder: carry -> x[0], sum -> x[1]
+            x[1] ^= x[0]
+            np.bitwise_and(x[0], x[1], out=tmp[0])
+            x[0] ^= tmp[0]
+            carries.append(x[:1])
+            x = x[1:]
+        planes.append(x[0].copy())
+        if not carries:
+            return planes
+        x = np.concatenate(carries)
+
+
+def add_planes(a: list, b: list) -> list:
+    """Ripple-carry sum of two bit-sliced counts (planes LSB first).
+
+    Returns up to ``max(len(a), len(b)) + 1`` planes; callers that know
+    the sum's bound may drop the provably-zero top planes.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    out = []
+    carry = None
+    for i, x in enumerate(a):
+        if i < len(b):
+            y = b[i]
+            s = x ^ y
+            c = x & y
+            if carry is not None:
+                c |= s & carry
+                s ^= carry
+        elif carry is not None:
+            s = x ^ carry
+            c = x & carry
+        else:
+            s, c = x, None
+        out.append(s)
+        carry = c
+    if carry is not None:
+        out.append(carry)
     return out
+
+
+def plane_counts(planes: list) -> np.ndarray:
+    """Counts read-out: bit-sliced counts ``(..., W)`` -> ``(..., W * 64)`` int32.
+
+    Planes are unpacked and accumulated in the narrowest unsigned type
+    that holds ``2**len(planes) - 1`` (uint8 up to 8 planes, i.e. up to
+    255 bundled slabs), then widened to int32 once.
+    """
+    if not planes:
+        raise ValueError("plane_counts needs at least one plane")
+    n = len(planes)
+    acc = np.uint8 if n <= 8 else np.uint16 if n <= 16 else np.uint32
+    out = None
+    for shift, plane in enumerate(planes):
+        bits = np.unpackbits(
+            np.ascontiguousarray(plane).view(np.uint8),
+            axis=-1, bitorder="little",
+        )
+        if acc is not np.uint8:
+            bits = bits.astype(acc)
+        if shift:
+            bits <<= shift
+        out = bits if out is None else out.__iadd__(bits)
+    return out.astype(np.int32)
+
+
+def planes_at_least(planes: list, threshold: int) -> np.ndarray:
+    """Sign read-out: packed words with bit ``k`` set iff count ``k >= threshold``.
+
+    A bit-sliced comparator scanning the planes from the most
+    significant down: positions still *equal* to ``threshold``'s prefix
+    narrow with each plane, positions whose plane bit exceeds a zero
+    bit of ``threshold`` become *greater*.  Planes below
+    ``threshold``'s lowest set bit cannot change the answer and are
+    never read, so a power-of-two threshold is a single plane.
+    """
+    if not planes:
+        raise ValueError("planes_at_least needs at least one plane")
+    threshold = int(threshold)
+    if threshold <= 0:
+        return np.full_like(planes[0], np.iinfo(np.uint64).max)
+    if threshold >> len(planes):
+        return np.zeros_like(planes[0])
+    lowest = (threshold & -threshold).bit_length() - 1
+    greater = equal = None
+    for b in range(len(planes) - 1, lowest - 1, -1):
+        plane = planes[b]
+        if (threshold >> b) & 1:
+            equal = plane if equal is None else equal & plane
+        else:
+            hit = plane if equal is None else equal & plane
+            greater = hit if greater is None else greater | hit
+            equal = ~plane if equal is None else equal & ~plane
+    return equal.copy() if greater is None else greater | equal
+
+
+def sign_words(counts: np.ndarray) -> np.ndarray:
+    """Sign-quantize bipolar counts ``(..., D)`` to packed query words.
+
+    ``count >= 0`` -> +1 -> bit 0 (a tie is +1), ``count < 0`` -> -1 ->
+    bit 1: ``pack_bits(to_binary(where(counts >= 0, 1, -1)))``.
+    """
+    return pack_bits(np.asarray(counts) < 0)
+
+
+def bit_slice_counts(words: np.ndarray) -> np.ndarray:
+    """Per-bit-position counts across the leading axis of packed words.
+
+    ``words`` has shape ``(m, ..., W)``; the result has shape
+    ``(..., W * 64)`` with ``result[..., k]`` = how many of the ``m``
+    slices have bit ``k`` set: :func:`plane_counts` of
+    :func:`bit_slice_planes`.
+    """
+    planes = bit_slice_planes(words)
+    if not planes:
+        words = np.asarray(words)
+        return np.zeros(words.shape[1:-1] + (words.shape[-1] * _WORD,),
+                        dtype=np.int32)
+    return plane_counts(planes)
 
 
 # -- the GENERIC encoding in the packed domain -------------------------------
@@ -171,7 +342,7 @@ class GenericPackedKernel:
       (one packed gather + in-place XOR per offset: memory reuse);
     - id binding is one more broadcast XOR (skipped entirely for
       identity ids, where the reference path still multiplies by ones);
-    - bundling runs through :func:`bit_slice_counts`, and the bipolar
+    - bundling runs through :func:`bit_slice_planes`, and the bipolar
       counts fall out as ``n_windows - 2 * ones``.
     """
 

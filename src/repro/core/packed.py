@@ -297,11 +297,9 @@ class PackedModel:
         :mod:`repro.serve`) can time and schedule the encode and search
         stages independently.
         """
-        encodings = self.encoder.encode_batch(
+        return self.encoder.encode_signs_packed(
             np.atleast_2d(X), n_jobs=self.encode_jobs
         )
-        signs = np.where(encodings >= 0, 1, -1).astype(np.int8)
-        return pack_bits(to_binary(signs))
 
     # backwards-compatible private alias
     _encode_packed = encode_packed

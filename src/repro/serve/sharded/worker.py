@@ -302,6 +302,10 @@ def worker_main(shard_id: int, rows: Optional[Tuple[int, int]],
                     hist.labels(stage="encode").record(
                         time.monotonic() - t0
                     )
+                    # partition mode: a request counts once, at the
+                    # shard that encoded it (every shard searches it)
+                    served_ctr.inc(len(words))
+                    state.served += len(words)
                     payload = (proto.ENCODE, words)
                 elif kind == proto.SEARCH:
                     _, _, _, words, dim, k, rows, *rest = msg

@@ -10,12 +10,14 @@ content-hash kernel memoization the encoders share packed tables
 through.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.encoders import GenericEncoder
+from repro.core.encoders import GenericEncoder, NgramEncoder
 from repro.core.ir import (
     BACKENDS,
     BACKEND_TO_ENGINE,
@@ -29,9 +31,11 @@ from repro.core.ir import (
 from repro.core.kernels import (
     GenericPackedKernel,
     clear_packed_kernel_cache,
+    pack_bits,
     packed_kernel_cache_info,
+    unpack_bits,
 )
-from repro.core.hypervector import random_bipolar
+from repro.core.hypervector import random_bipolar, to_binary
 
 
 # --- shared strategy: one random encode shape class -------------------------
@@ -322,3 +326,106 @@ class TestEncoderIntegration:
         approx.approx_folds = 2
         eb = approx.encode_plan().error_bound
         assert eb["max_abs_count_error"] == approx.n_windows - 2
+
+
+def _signs_of(counts: np.ndarray) -> np.ndarray:
+    """The counts -> sign -> pack oracle of the sign read-out."""
+    return pack_bits(to_binary(np.where(counts >= 0, 1, -1)))
+
+
+class TestSignReadout:
+    """``encode_signs_packed`` == sign-quantized ``encode_batch``, packed."""
+
+    @given(
+        dim=st.tuples(st.integers(0, 3), st.integers(8, 63)).map(
+            lambda wt: 64 * wt[0] + wt[1]
+        ),
+        window=st.integers(min_value=1, max_value=4),
+        extra_feats=st.integers(min_value=0, max_value=20),
+        use_ids=st.booleans(),
+        ngram=st.booleans(),
+        engine=st.sampled_from(["packed", "reference"]),
+        fold_frac=st.one_of(st.none(), st.floats(0.05, 1.0)),
+        window_block=st.one_of(st.none(), st.integers(1, 5)),
+        n_jobs=st.sampled_from([None, 2]),
+        n_samples=st.integers(min_value=1, max_value=9),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_signs_equal_packed_sign_of_counts(
+        self, dim, window, extra_feats, use_ids, ngram, engine, fold_frac,
+        window_block, n_jobs, n_samples, seed,
+    ):
+        n_features = window + extra_feats
+        n_windows = extra_feats + 1
+        folds = (None if fold_frac is None
+                 else max(1, int(round(fold_frac * n_windows))))
+        X = np.random.default_rng(seed).normal(size=(n_samples, n_features))
+        if ngram:
+            mk = lambda e: NgramEncoder(dim=dim, num_levels=6, seed=seed,
+                                        window=window, engine=e,
+                                        approx_folds=folds)
+        else:
+            mk = lambda e: GenericEncoder(dim=dim, num_levels=6, seed=seed,
+                                          window=window, use_ids=use_ids,
+                                          engine=e, approx_folds=folds)
+        enc = mk(engine).fit(X)
+        if window_block is not None:
+            # force window blocking: every block's planes ripple-add
+            enc._plan = dataclasses.replace(enc.encode_plan(),
+                                            window_block=window_block)
+        chunk = 2 if n_jobs else None
+        signs = enc.encode_signs_packed(X, chunk=chunk, n_jobs=n_jobs)
+        assert signs.dtype == np.uint64
+        assert signs.shape == (n_samples, -(-dim // 64))
+        counts = enc.encode_batch(X)
+        np.testing.assert_array_equal(signs, _signs_of(counts))
+        # and against an independent reference-engine encoding
+        ref_counts = mk("reference").fit(X).encode_batch(X)
+        np.testing.assert_array_equal(signs, _signs_of(ref_counts))
+
+    def test_ties_read_out_as_plus_one(self):
+        # k = 2 windows without ids: half the dims tie at count 0
+        X = np.random.default_rng(3).normal(size=(16, 3))
+        enc = GenericEncoder(dim=100, num_levels=4, seed=3, window=2,
+                             use_ids=False, engine="packed").fit(X)
+        counts = enc.encode_batch(X)
+        assert (counts == 0).any()
+        bits = unpack_bits(enc.encode_signs_packed(X), 100)
+        np.testing.assert_array_equal(bits, (counts < 0).astype(np.uint8))
+        # padding bits above dim are zero
+        assert not (enc.encode_signs_packed(X)[:, -1] >> np.uint64(36)).any()
+
+    def test_planner_window_blocking(self):
+        # a shape where the planner itself blocks the window axis
+        X = np.random.default_rng(5).normal(size=(2, 402))
+        enc = GenericEncoder(dim=10563, num_levels=4, seed=5,
+                             engine="packed").fit(X)
+        plan = enc.encode_plan()
+        assert plan.window_block < plan.folds
+        np.testing.assert_array_equal(
+            enc.encode_signs_packed(X), _signs_of(enc.encode_batch(X))
+        )
+        ref = GenericEncoder(dim=10563, num_levels=4, seed=5,
+                             engine="reference").fit(X)
+        np.testing.assert_array_equal(enc.encode_batch(X),
+                                      ref.encode_batch(X))
+
+    def test_encode_span_identical_for_both_read_outs(self):
+        from repro.obs import trace as obs_trace
+        from repro.obs.export import CollectorSink
+
+        X = np.random.default_rng(0).normal(size=(5, 40))
+        enc = GenericEncoder(dim=200, num_levels=8, seed=0).fit(X)
+        sink = CollectorSink()
+        obs_trace.enable_tracing(sink)
+        try:
+            enc.encode_batch(X)
+            enc.encode_signs_packed(X)
+        finally:
+            obs_trace.disable_tracing()
+        counts_span, signs_span = [
+            r for r in sink.spans if r["name"] == "encode"
+        ]
+        assert counts_span["attrs"] == signs_span["attrs"]
+        assert counts_span["ops"] == signs_span["ops"]

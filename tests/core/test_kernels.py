@@ -15,10 +15,15 @@ from repro.core.encoders import GenericEncoder, NgramEncoder
 from repro.core.encoders.base import _CHUNK_BUDGET
 from repro.core.kernels import (
     GenericPackedKernel,
+    add_planes,
     bit_slice_counts,
+    bit_slice_planes,
     pack_bits,
+    plane_counts,
+    planes_at_least,
     popcount,
     popcount_words,
+    unpack_bits,
     _popcount_words_lut,
 )
 
@@ -211,6 +216,85 @@ class TestBitPrimitives:
     def test_bit_slice_counts_rejects_flat_input(self):
         with pytest.raises(ValueError, match="packed words"):
             bit_slice_counts(np.zeros(4, dtype=np.uint64))
+
+
+def _true_counts(words: np.ndarray) -> np.ndarray:
+    """Oracle: unpack every slab and sum (int64)."""
+    return unpack_bits(words, words.shape[-1] * 64).sum(axis=0,
+                                                         dtype=np.int64)
+
+
+class TestBitPlanes:
+    """The carry-save planes and their two read-outs."""
+
+    @pytest.mark.parametrize("m", [1, 2, 255, 256, 300])
+    def test_counts_readout_at_dtype_boundaries(self, m):
+        # m = 255 is the largest count the uint8 accumulator holds;
+        # 256 and 300 need the uint16 one.  All-ones slabs hit the max.
+        rng = np.random.default_rng(m)
+        words = rng.integers(0, 2**64, size=(m, 3, 2), dtype=np.uint64)
+        words[:, 0, :] = np.iinfo(np.uint64).max
+        planes = bit_slice_planes(words)
+        assert len(planes) == m.bit_length()
+        counts = plane_counts(planes)
+        assert counts.dtype == np.int32
+        np.testing.assert_array_equal(counts, _true_counts(words))
+        assert (counts[0] == m).all()
+        np.testing.assert_array_equal(bit_slice_counts(words), counts)
+
+    @given(
+        m=st.integers(min_value=1, max_value=80),
+        rows=st.integers(min_value=1, max_value=20),
+        n_words=st.integers(min_value=1, max_value=70),
+        seed=SEEDS,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_planes_are_the_binary_count(self, m, rows, n_words, seed):
+        # slab sizes straddle the breadth-/depth-first switch (8 KiB)
+        words = np.random.default_rng(seed).integers(
+            0, 2**64, size=(m, rows, n_words), dtype=np.uint64
+        )
+        before = words.copy()
+        planes = bit_slice_planes(words)
+        np.testing.assert_array_equal(words, before)  # input untouched
+        weights = sum(
+            unpack_bits(p, n_words * 64).astype(np.int64) << b
+            for b, p in enumerate(planes)
+        )
+        np.testing.assert_array_equal(weights, _true_counts(words))
+
+    @given(
+        m=st.integers(min_value=1, max_value=300),
+        split=st.floats(min_value=0.0, max_value=1.0),
+        seed=SEEDS,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_comparator_matches_counts(self, m, split, seed):
+        words = np.random.default_rng(seed).integers(
+            0, 2**64, size=(m, 2, 3), dtype=np.uint64
+        )
+        counts = _true_counts(words)
+        planes = bit_slice_planes(words)
+        # block-wise planes ripple-added read out the same counts
+        cut = int(split * m)
+        if 0 < cut < m:
+            summed = add_planes(bit_slice_planes(words[:cut]),
+                                bit_slice_planes(words[cut:]))
+            np.testing.assert_array_equal(plane_counts(summed), counts)
+            planes = summed
+        for t in (0, 1, m // 2, m // 2 + 1, m, m + 1):
+            got = unpack_bits(planes_at_least(planes, t), 3 * 64)
+            np.testing.assert_array_equal(got, counts >= t)
+
+    def test_comparator_returns_fresh_words(self):
+        words = np.random.default_rng(0).integers(
+            0, 2**64, size=(254, 1, 2), dtype=np.uint64
+        )
+        planes = bit_slice_planes(words)
+        top = planes_at_least(planes, 128)  # k = 254: the top plane
+        np.testing.assert_array_equal(top, planes[7])
+        top[:] = 0
+        assert planes[7].any()
 
 
 class TestKernelValidation:

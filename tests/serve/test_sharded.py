@@ -100,6 +100,22 @@ class TestPartitionMode:
             server.start()
 
 
+@pytest.mark.parametrize("mode", ["replica", "partition"])
+def test_per_shard_served_sums_to_server_served(mode, serve_classifier,
+                                                serve_queries):
+    # each request counts once, at the shard that encoded it -- also in
+    # partition mode, where every shard searches it
+    server = ShardedServer(_config(mode=mode))
+    server.register("m", serve_classifier)
+    with server:
+        preds = server.predict_many("m", serve_queries[:20], timeout=60.0)
+        per_shard = server.worker_utilization()["served"]
+        served = server.stats()["counters"]["served"]
+    assert len(preds) == served == 20
+    assert len(per_shard) == 2
+    assert sum(per_shard) == served
+
+
 class TestHotSwap:
     def test_swap_under_load_drops_nothing(self, serve_classifier,
                                            serve_queries):
