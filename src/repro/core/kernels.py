@@ -124,13 +124,6 @@ def packed_hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # (the int32 counts training needs) and :func:`planes_at_least` (the
 # sign words a binary query needs, never leaving the packed domain).
 
-#: per-slab size at or below which the adder tree runs breadth-first
-#: (one NumPy call per stage over every slab, in place) instead of
-#: depth-first (one call per adder, each slab cache-resident); the two
-#: cross near 12 KiB per slab on a 2-vCPU x86-64 VM (254 slabs)
-_BREADTH_MAX_BYTES = 8 * 1024
-
-
 def bit_slice_planes(words: np.ndarray) -> list:
     """Carry-save bit planes of the per-bit-position count over axis 0.
 
@@ -140,20 +133,11 @@ def bit_slice_planes(words: np.ndarray) -> list:
     ``m`` slabs have bit ``k`` set.  Only ~log2(m) planes are ever
     materialized -- the software analogue of the bit-serial
     accumulators HDC accelerators bundle with.  ``words`` is not
-    modified.
+    modified, but for ``m = 1`` the single plane is a view of it.
     """
     words = np.asarray(words, dtype=np.uint64)
     if words.ndim < 2:
         raise ValueError(f"expected (m, ..., W) packed words, got {words.shape}")
-    if len(words) == 0:
-        return []
-    if words[0].nbytes <= _BREADTH_MAX_BYTES:
-        return _planes_breadth_first(words)
-    return _planes_depth_first(words)
-
-
-def _planes_depth_first(words: np.ndarray) -> list:
-    """One adder per NumPy call; each fresh sum is the next adder's input."""
     planes = []
     level = [words[i] for i in range(len(words))]
     while level:
@@ -174,46 +158,6 @@ def _planes_depth_first(words: np.ndarray) -> list:
         planes.append(pool[0])
         level = carries
     return planes
-
-
-def _full_add(a, b, c, tmp) -> None:
-    """In-place full adder: carry -> ``a``, sum -> ``c`` (``b`` clobbered)."""
-    b ^= a                                # a ^ b
-    a ^= c                                # a ^ c
-    np.bitwise_and(a, b, out=tmp)
-    a ^= tmp                              # (a ^ c) & ~(a ^ b)
-    a ^= c                                # majority(a, b, c)
-    c ^= b                                # a ^ b ^ c
-
-
-def _planes_breadth_first(words: np.ndarray) -> list:
-    """Every adder of a stage in one NumPy call, on a private copy.
-
-    A stage full-adds three equal thirds of the same-weight slabs: the
-    sums stay at this weight, the carries move up one.  Small slabs
-    make the depth-first tree pure call overhead; here a level costs
-    ~log3(m) stages instead of ~m/2 adders.
-    """
-    x = words.copy()
-    tmp = np.empty_like(x[: len(x) // 3 + 1])
-    planes = []
-    while True:
-        carries = []
-        while len(x) >= 3:
-            t = len(x) // 3
-            _full_add(x[:t], x[t:2 * t], x[2 * t:3 * t], tmp[:t])
-            carries.append(x[:t])
-            x = x[2 * t:]  # the sums, then the slabs not yet added
-        if len(x) == 2:  # half adder: carry -> x[0], sum -> x[1]
-            x[1] ^= x[0]
-            np.bitwise_and(x[0], x[1], out=tmp[0])
-            x[0] ^= tmp[0]
-            carries.append(x[:1])
-            x = x[1:]
-        planes.append(x[0].copy())
-        if not carries:
-            return planes
-        x = np.concatenate(carries)
 
 
 def add_planes(a: list, b: list) -> list:

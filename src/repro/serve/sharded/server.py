@@ -184,6 +184,10 @@ class ShardedServer(ServingSurfaceBase):
         self._stop = threading.Event()
         self._started = False
         self.worker_restarts = 0
+        #: requests resolved per shard (the shard that answered them;
+        #: in partition mode the one that encoded them), counted where
+        #: the served counter is, so the two always reconcile
+        self._served_by_shard = [0] * self.config.n_shards
         #: tracing state last propagated to the worker fleet; the
         #: supervisor forwards TRACE messages when the parent's flips
         self._trace_sent = False
@@ -704,6 +708,7 @@ class ShardedServer(ServingSurfaceBase):
                     trace_id=trace_id,
                 ))
         self.metrics.counter("served").inc(len(pending.requests))
+        self._served_by_shard[shard] += len(pending.requests)
 
     # -- supervisor ----------------------------------------------------------
 
@@ -910,13 +915,16 @@ class ShardedServer(ServingSurfaceBase):
         }
 
     def worker_utilization(self) -> Dict[str, List[float]]:
-        """Per-shard busy time and served counts (pulled from workers)."""
-        busy: List[float] = []
-        served: List[int] = []
-        for _, payload in sorted(self.shard_stats().items()):
-            busy.append(float(payload.get("busy_seconds", 0.0)))
-            served.append(int(payload.get("served", 0)))
-        return {"busy_seconds": busy, "served": served}
+        """Per-shard busy time (pulled from workers) and served counts.
+
+        ``served`` counts each request once, when the parent resolves
+        it, at the shard that answered it (partition mode: the shard
+        that encoded it), so it sums to the ``served`` counter even
+        when searches fail and requests retry.
+        """
+        busy = [float(payload.get("busy_seconds", 0.0))
+                for _, payload in sorted(self.shard_stats().items())]
+        return {"busy_seconds": busy, "served": list(self._served_by_shard)}
 
     def render_prometheus(self) -> str:
         """Parent metrics plus the absorbed per-shard series."""

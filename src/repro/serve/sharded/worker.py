@@ -302,8 +302,10 @@ def worker_main(shard_id: int, rows: Optional[Tuple[int, int]],
                     hist.labels(stage="encode").record(
                         time.monotonic() - t0
                     )
-                    # partition mode: a request counts once, at the
-                    # shard that encoded it (every shard searches it)
+                    # partition mode: this process's own tally counts
+                    # a request at the shard that encoded it (every
+                    # shard searches it); the parent's per-shard count
+                    # waits until the request resolves
                     served_ctr.inc(len(words))
                     state.served += len(words)
                     payload = (proto.ENCODE, words)

@@ -250,7 +250,6 @@ class TestBitPlanes:
     )
     @settings(max_examples=60, deadline=None)
     def test_planes_are_the_binary_count(self, m, rows, n_words, seed):
-        # slab sizes straddle the breadth-/depth-first switch (8 KiB)
         words = np.random.default_rng(seed).integers(
             0, 2**64, size=(m, rows, n_words), dtype=np.uint64
         )

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.serve.resilience import ChaosPolicy
-from repro.serve.sharded import ShardedServeConfig, ShardedServer
+from repro.serve.sharded import ShardedServeConfig, ShardedServer, proto
 from repro.stream import StreamConfig, StreamLoop
 
 pytestmark = pytest.mark.skipif(
@@ -100,20 +100,43 @@ class TestPartitionMode:
             server.start()
 
 
+@pytest.mark.parametrize("fail_first", [False, True],
+                         ids=["no-fault", "failed-reply"])
 @pytest.mark.parametrize("mode", ["replica", "partition"])
-def test_per_shard_served_sums_to_server_served(mode, serve_classifier,
+def test_per_shard_served_sums_to_server_served(mode, fail_first,
+                                                serve_classifier,
                                                 serve_queries):
-    # each request counts once, at the shard that encoded it -- also in
-    # partition mode, where every shard searches it
-    server = ShardedServer(_config(mode=mode))
+    # each request counts once, at the shard that answered it (in
+    # partition mode the one that encoded it; every shard searches it).
+    # With fail_first the first answering reply -- a PREDICT, or a
+    # SEARCH whose ENCODE already succeeded -- turns into a shard error,
+    # so its requests retry and are encoded a second time.
+    server = ShardedServer(_config(mode=mode, max_retries=4,
+                                   retry_backoff=0.01))
     server.register("m", serve_classifier)
+    failed = []
+    if fail_first:
+        handle_ok = server._handle_ok
+
+        def flaky(shard_id, seq, payload):
+            if payload[0] in (proto.PREDICT, proto.SEARCH) and not failed:
+                failed.append(seq)
+                server._handle_error(shard_id, seq, {
+                    "kind": "InjectedFault", "message": "reply lost",
+                })
+                return
+            handle_ok(shard_id, seq, payload)
+
+        server._handle_ok = flaky
     with server:
         preds = server.predict_many("m", serve_queries[:20], timeout=60.0)
         per_shard = server.worker_utilization()["served"]
-        served = server.stats()["counters"]["served"]
-    assert len(preds) == served == 20
+        counters = server.stats()["counters"]
+    assert len(preds) == counters["served"] == 20
+    assert len(failed) == int(fail_first)
+    assert counters.get("retries", 0) >= int(fail_first)
     assert len(per_shard) == 2
-    assert sum(per_shard) == served
+    assert sum(per_shard) == counters["served"]
 
 
 class TestHotSwap:
