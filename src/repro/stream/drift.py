@@ -29,6 +29,7 @@ clears the window and baselines so the detector re-warms against the
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Optional, Sequence, Tuple
@@ -94,7 +95,11 @@ class DriftEvent:
 
 
 class DriftDetector:
-    """Sliding-window margin/error/prior monitor with EWMA baselines."""
+    """Sliding-window margin/error/prior monitor with EWMA baselines.
+
+    Thread-safe: a stream loop feeds it from the serving thread while
+    the background trainer resets it after a swap.
+    """
 
     def __init__(self, n_classes: int, config: Optional[DriftConfig] = None):
         if n_classes < 2:
@@ -115,6 +120,7 @@ class DriftDetector:
         self._base_error: Optional[float] = None
         self._base_prior: Optional[np.ndarray] = None
         self._baseline_refreshed_at = 0
+        self._lock = threading.RLock()
 
     # -- feeding -------------------------------------------------------------
 
@@ -149,13 +155,14 @@ class DriftDetector:
         if labels is not None:
             labels = np.asarray(labels, dtype=np.int64)
             errs = (preds != labels).astype(np.int64)
-        for i in range(len(margins)):
-            self._margins.append(float(margins[i]))
-            self._preds.append(int(preds[i]))
-            if errs is not None:
-                self._errors.append(int(errs[i]))
-        self.samples_seen += len(margins)
-        return self._evaluate()
+        with self._lock:
+            for i in range(len(margins)):
+                self._margins.append(float(margins[i]))
+                self._preds.append(int(preds[i]))
+                if errs is not None:
+                    self._errors.append(int(errs[i]))
+            self.samples_seen += len(margins)
+            return self._evaluate()
 
     # -- the decision --------------------------------------------------------
 
@@ -184,22 +191,23 @@ class DriftDetector:
 
     def trigger_scores(self) -> dict:
         """Normalized severity per enabled trigger (1.0 = at threshold)."""
-        cfg = self.config
-        margin, error, prior = self._window_stats()
-        scores = {}
-        if self._base_margin is None:
-            return {t: 0.0 for t in cfg.triggers}
-        if "margin" in cfg.triggers and self._base_margin > 0:
-            drop = 1.0 - margin / self._base_margin
-            scores["margin"] = max(0.0, drop) / cfg.margin_drop
-        if ("error" in cfg.triggers and error is not None
-                and self._base_error is not None):
-            jump = error - self._base_error
-            scores["error"] = max(0.0, jump) / cfg.error_jump
-        if "prior" in cfg.triggers and self._base_prior is not None:
-            l1 = float(np.abs(prior - self._base_prior).sum())
-            scores["prior"] = l1 / cfg.prior_shift
-        return scores
+        with self._lock:
+            cfg = self.config
+            margin, error, prior = self._window_stats()
+            scores = {}
+            if self._base_margin is None:
+                return {t: 0.0 for t in cfg.triggers}
+            if "margin" in cfg.triggers and self._base_margin > 0:
+                drop = 1.0 - margin / self._base_margin
+                scores["margin"] = max(0.0, drop) / cfg.margin_drop
+            if ("error" in cfg.triggers and error is not None
+                    and self._base_error is not None):
+                jump = error - self._base_error
+                scores["error"] = max(0.0, jump) / cfg.error_jump
+            if "prior" in cfg.triggers and self._base_prior is not None:
+                l1 = float(np.abs(prior - self._base_prior).sum())
+                scores["prior"] = l1 / cfg.prior_shift
+            return scores
 
     def drift_score(self) -> float:
         """Worst normalized trigger score (the gauge the loop exports)."""
@@ -258,21 +266,23 @@ class DriftDetector:
         say nothing about the new one; the detector re-warms from the
         next full window.
         """
-        self._base_margin = None
-        self._base_error = None
-        self._base_prior = None
-        self._margins.clear()
-        self._errors.clear()
-        self._preds.clear()
+        with self._lock:
+            self._base_margin = None
+            self._base_error = None
+            self._base_prior = None
+            self._margins.clear()
+            self._errors.clear()
+            self._preds.clear()
 
     def state(self) -> dict:
-        margin, error, prior = self._window_stats()
-        return {
-            "samples_seen": self.samples_seen,
-            "window_margin": margin,
-            "window_error": error,
-            "baseline_margin": self._base_margin,
-            "baseline_error": self._base_error,
-            "drift_score": self.drift_score(),
-            "events": len(self.events),
-        }
+        with self._lock:
+            margin, error, prior = self._window_stats()
+            return {
+                "samples_seen": self.samples_seen,
+                "window_margin": margin,
+                "window_error": error,
+                "baseline_margin": self._base_margin,
+                "baseline_error": self._base_error,
+                "drift_score": self.drift_score(),
+                "events": len(self.events),
+            }

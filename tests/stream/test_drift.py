@@ -129,3 +129,37 @@ class TestState:
         det = DriftDetector(3)
         with pytest.raises(ValueError, match="mismatch"):
             det.observe([1.0, 2.0], [0])
+
+    def test_reset_from_another_thread(self):
+        # a stream loop feeds the detector while its trainer thread
+        # resets it after a swap; neither may see half-reset baselines
+        import sys
+        import threading
+        import time
+
+        det = DriftDetector(4, DriftConfig(window=8, warmup=8, cooldown=8))
+        stop = threading.Event()
+        errors = []
+
+        def feeder():
+            try:
+                while not stop.is_set():
+                    det.observe([1.0] * 8, [0, 1, 2, 3] * 2,
+                                [0, 1, 2, 3] * 2)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread = threading.Thread(target=feeder)
+            thread.start()
+            end = time.perf_counter() + 0.5
+            while time.perf_counter() < end and not errors:
+                det.reset_baselines()
+                det.drift_score()
+            stop.set()
+            thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
