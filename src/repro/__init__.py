@@ -25,7 +25,7 @@ The package splits the paper's system into four layers:
 - :mod:`repro.fleet` -- a simulated federated fleet of edge devices
   training locally and merging class hypervectors under bandwidth
   budgets, published live through any
-  :class:`repro.serve.ServingSurface` backend (imported lazily; see
+  :class:`repro.serve.Server` (imported lazily; see
   :class:`repro.fleet.FleetAggregator`).
 """
 

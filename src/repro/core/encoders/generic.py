@@ -240,24 +240,6 @@ class GenericEncoder(Encoder):
         bins = self.quantizer.transform(X)
         return plan.execute_signs(self._plan_sources(plan), bins)
 
-    def _encode_chunk_reference(self, X: np.ndarray) -> np.ndarray:
-        """The pre-IR direct translation of Eq. 1, kept as ground truth.
-
-        Not on the hot path anymore (the ``numpy-reference`` backend
-        executes the same math through the IR); equivalence tests pin
-        the two against each other.
-        """
-        bins = self.quantizer.transform(X)
-        n_win = self.n_windows
-        prod = np.ones((len(X), n_win, self.dim), dtype=np.int8)
-        for j in range(self.window):
-            lv = self.levels[bins[:, j : j + n_win]]
-            if j:
-                lv = np.roll(lv, j, axis=2)
-            prod *= lv
-        bound = prod * self._ids[None, :, :]
-        return bound.sum(axis=1, dtype=np.int32)
-
     # -- cost reporting ---------------------------------------------------
 
     def _chunk_cost(self) -> int:

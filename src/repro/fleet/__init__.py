@@ -7,9 +7,8 @@ bit-flips from :class:`~repro.hardware.faultspec.FaultSpec`) each train
 locally on a non-IID shard, and a :class:`FleetAggregator` merges
 their class hypervectors under a bandwidth budget -- HDC's integer
 bundling makes the merge a sum, no gradients anywhere -- then publishes
-every merged model through a live :class:`~repro.serve.surface.
-ServingSurface` backend so the fleet-trained model serves between
-rounds.
+every merged model through a live :class:`~repro.serve.server.Server`
+so the fleet-trained model serves between rounds.
 
 Entry points:
 

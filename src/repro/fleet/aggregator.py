@@ -2,7 +2,8 @@
 
 :class:`FleetAggregator` coordinates a population of
 :class:`~repro.fleet.device.EdgeDevice` against any
-:class:`~repro.serve.surface.ServingSurface` backend.  Per round:
+:class:`~repro.serve.server.Server` (thread or process executor).  Per
+round:
 
 1. **Churn + sampling** -- each device is independently offline with
    probability ``churn``; a ``participation`` fraction of the online
@@ -27,14 +28,14 @@
    (threaded or process-sharded) serves the fleet-trained model between
    rounds with the usual drain semantics.
 6. **Evaluate** -- the held-out set is scored through the server's
-   :meth:`~repro.serve.surface.ServingSurfaceBase.predict_encoded`
+   :meth:`~repro.serve.server.Server.predict_encoded`
    side-door (stage-1 representation computed once and cached), so the
    reported accuracy is measured against the *deployed* model, not a
    local copy.
 
 Everything is observable: ``fleet.round`` / ``fleet.upload`` /
 ``fleet.merge`` spans, ``fleet_*`` counters and gauges on the
-surface's metrics hub, and a ``fleet_round`` flight-recorder event per
+surface's metric registry, and a ``fleet_round`` flight-recorder event per
 round.
 """
 
@@ -49,7 +50,7 @@ from repro.core.classifier import HDClassifier
 from repro.core.config import ComputeConfig
 from repro.core.norms import DEFAULT_BLOCK, SubNormTable
 from repro.obs import trace as obs_trace
-from repro.serve.surface import ServingSurface
+from repro.serve.server import Server
 from repro.fleet.compression import UpdateCodec, make_codec
 from repro.fleet.device import DeviceUpdate, EdgeDevice
 
@@ -133,7 +134,7 @@ class FleetAggregator:
     Parameters
     ----------
     surface:
-        Any started-or-startable :class:`ServingSurface` backend; the
+        Any started-or-startable :class:`~repro.serve.server.Server`; the
         aggregator registers ``config.model_name`` on the first merge
         and hot-swaps every round after.
     devices:
@@ -149,7 +150,7 @@ class FleetAggregator:
 
     def __init__(
         self,
-        surface: "ServingSurface",
+        surface: Server,
         devices: Sequence[EdgeDevice],
         classes: np.ndarray,
         eval_X: Optional[np.ndarray] = None,

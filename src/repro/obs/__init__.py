@@ -3,8 +3,8 @@
 One observability layer across the whole stack:
 
 - :mod:`repro.obs.registry` -- process-global (and instantiable)
-  registry of counter/gauge/histogram families with labels; the serve
-  layer's MetricsHub delegates here.
+  registry of counter/gauge/histogram families with labels; every
+  serving backend's ``server.metrics`` is one.
 - :mod:`repro.obs.trace` -- nestable spans (``with span("encode",
   engine="packed"):`` or ``@traced``) recording wall time, logical op
   counts and bytes moved; near-zero overhead while disabled (the

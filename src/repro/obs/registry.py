@@ -1,7 +1,7 @@
 """Process-wide metric registry: counters, gauges, histograms, families.
 
-This is the one metrics implementation in the repo.  The serving
-layer's :class:`~repro.serve.metrics.MetricsHub` delegates here, the
+This is the one metrics implementation in the repo.  Every serving
+backend's ``server.metrics`` is a :class:`Registry`, the
 tracing layer (:mod:`repro.obs.trace`) aggregates finished spans here,
 and :func:`Registry.render_prometheus` exposes everything in the
 Prometheus text format.
@@ -9,7 +9,7 @@ Prometheus text format.
 Design constraints, in order:
 
 1. **Thread-safe.**  Every instrument is hammered from worker threads
-   (the serve :class:`~repro.serve.workers.WorkerPool`, encode thread
+   (the serve :class:`~repro.serve.server.ThreadExecutor`, encode thread
    pools), so every read-modify-write holds a per-instrument lock.
 2. **Lock-cheap.**  The locks are plain uncontended
    :class:`threading.Lock` acquisitions around a handful of scalar ops

@@ -11,7 +11,11 @@ norms, driven by live load instead of a static spec.
 
 Entry points:
 
-- :class:`InferenceServer` / :class:`ServeConfig` -- the service façade;
+- :class:`Server` -- the serving core (admission, batching, retry/expiry,
+  resolution, supervision) over a pluggable executor;
+  :class:`InferenceServer` / :class:`ServeConfig` run it on worker
+  threads, :class:`ShardedServer` / :class:`ShardedServeConfig` on
+  shard processes;
 - :class:`ModelRegistry` / :class:`Deployment` -- named model versions;
 - :class:`LoadShedPolicy` -- the queue-depth/p95 shed controller;
 - :mod:`repro.serve.resilience` -- circuit breakers, deadline/retry
@@ -31,14 +35,7 @@ from repro.serve.errors import (
     WorkerError,
     WorkerKilled,
 )
-from repro.serve.metrics import (
-    Counter,
-    Gauge,
-    LatencyHistogram,
-    MetricsHub,
-    SlidingWindow,
-)
-from repro.serve.policy import LoadShedPolicy
+from repro.serve.policy import LoadShedPolicy, SlidingWindow
 from repro.serve.queue import QueueClosed, QueueFull, Request, RequestQueue
 from repro.serve.registry import Deployment, ModelRegistry
 from repro.serve.resilience import (
@@ -50,36 +47,41 @@ from repro.serve.resilience import (
     RetryPolicy,
     RetryScheduler,
 )
-from repro.serve.server import InferenceServer, ServeConfig
-from repro.serve.sharded import ShardedServeConfig, ShardedServer, ShardRouter
-from repro.serve.surface import (
+from repro.serve.server import (
     STATS_OPTIONAL_KEYS,
     STATS_REQUIRED_KEYS,
-    ServingSurface,
-    ServingSurfaceBase,
+    Executor,
+    InferenceServer,
+    Prediction,
+    ServeConfig,
+    Server,
+    ThreadExecutor,
     validate_stats,
 )
-from repro.serve.workers import Prediction, WorkerPool
+from repro.serve.sharded import (
+    ProcessExecutor,
+    ShardedServeConfig,
+    ShardedServer,
+    ShardRouter,
+)
 
 __all__ = [
     "Backpressure",
     "BreakerConfig",
     "ChaosPolicy",
     "CircuitBreaker",
-    "Counter",
     "DeadlineExceeded",
     "DegradationLadder",
     "DegradeConfig",
     "Deployment",
-    "Gauge",
+    "Executor",
     "InferenceServer",
     "InjectedFault",
-    "LatencyHistogram",
     "LoadShedPolicy",
-    "MetricsHub",
     "MicroBatcher",
     "ModelRegistry",
     "Prediction",
+    "ProcessExecutor",
     "QueueClosed",
     "QueueFull",
     "Request",
@@ -91,14 +93,13 @@ __all__ = [
     "STATS_REQUIRED_KEYS",
     "ServeConfig",
     "ServeError",
-    "ServingSurface",
-    "ServingSurfaceBase",
+    "Server",
     "ShardRouter",
     "ShardedServeConfig",
     "ShardedServer",
     "SlidingWindow",
+    "ThreadExecutor",
     "validate_stats",
     "WorkerError",
     "WorkerKilled",
-    "WorkerPool",
 ]

@@ -74,8 +74,8 @@ def train_model(
 def worker_utilization(server, span_s: float) -> Dict:
     """Per-worker busy fraction over a ``span_s`` window.
 
-    ``server`` is any :class:`~repro.serve.surface.ServingSurface`
-    backend; its ``worker_utilization()`` protocol method reports
+    ``server`` is any :class:`~repro.serve.server.Server`; its
+    ``worker_utilization()`` reports
     busy-seconds and served counts per worker (threads) or per shard
     (processes).  Utilization is busy-time divided by the measurement
     span, so 1.0 means a worker never sat idle during the load point.

@@ -27,11 +27,43 @@ The policy is model-agnostic: it speaks levels, and each
 
 from __future__ import annotations
 
+import math
 import threading
 import time
-from typing import Callable, Optional
+from collections import deque
+from typing import Callable, List, Optional
 
-from repro.serve.metrics import SlidingWindow
+
+class SlidingWindow:
+    """Last-``N`` raw samples with exact percentile queries.
+
+    The policy's *recent* p95 comes from here rather than from a
+    whole-run histogram, which would react far too slowly to a load
+    spike.  Thread-safe: workers record from several threads.
+    """
+
+    def __init__(self, size: int = 256) -> None:
+        if size <= 0:
+            raise ValueError(f"window size must be positive, got {size}")
+        self._lock = threading.Lock()
+        self._samples: deque = deque(maxlen=size)
+
+    def record(self, value: float) -> None:
+        with self._lock:
+            self._samples.append(float(value))
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._samples)
+
+    def percentile(self, p: float) -> Optional[float]:
+        """Exact percentile of the window, ``None`` while empty."""
+        with self._lock:
+            if not self._samples:
+                return None
+            ordered: List[float] = sorted(self._samples)
+        idx = min(len(ordered) - 1, int(math.ceil(p / 100.0 * len(ordered))) - 1)
+        return ordered[max(0, idx)]
 
 
 class LoadShedPolicy:

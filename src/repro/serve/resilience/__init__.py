@@ -25,7 +25,7 @@ service-hardening trio around it:
 
 Everything is observable through :mod:`repro.obs`: breaker-state
 gauges, retry/shed/fault counters, and a degradation-tier histogram
-land in the server's :class:`~repro.serve.metrics.MetricsHub`.
+land in the server's metric registry (``server.metrics``).
 """
 
 from repro.serve.errors import (

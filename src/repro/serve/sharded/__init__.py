@@ -4,7 +4,8 @@ The GIL caps the thread-based :class:`~repro.serve.server.
 InferenceServer` at roughly two cores; this package moves the workers
 into processes while keeping exactly one physical copy of the model in
 POSIX shared memory (:mod:`repro.core.shared`).  See
-:class:`ShardedServer` for the façade, :class:`~repro.serve.sharded.
+:class:`ShardedServer` for the serving core over
+:class:`ProcessExecutor`, :class:`~repro.serve.sharded.
 router.ShardRouter` for the replica / class-partitioned routing modes,
 and ``python -m repro.serve.sharded.bench`` for the open-loop
 saturation harness.
@@ -16,9 +17,14 @@ from repro.serve.sharded.router import (
     partition_classes,
     stable_hash,
 )
-from repro.serve.sharded.server import ShardedServeConfig, ShardedServer
+from repro.serve.sharded.server import (
+    ProcessExecutor,
+    ShardedServeConfig,
+    ShardedServer,
+)
 
 __all__ = [
+    "ProcessExecutor",
     "ShardedServer",
     "ShardedServeConfig",
     "ShardRouter",

@@ -118,7 +118,7 @@ def _zero_copy_evidence(server: ShardedServer, model: str = "bench") -> Dict:
     """Per-shard RSS + model-mapping page accounting from /proc."""
     stats = server.shard_stats()
     dep = server.stats()["deployments"].get(model, {})
-    spec = server._specs.get(model)
+    spec = server.executor.specs.get(model)
     shards = {}
     for shard, payload in sorted(stats.items()):
         mapping = payload.get("shm", {}).get(model, {}) or {}

@@ -52,7 +52,7 @@ Worker -> parent (one shared result queue)::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 # parent -> worker kinds
 DEPLOY = "deploy"
@@ -73,38 +73,27 @@ STATS_R = "stats_r"
 SPANS = "spans"
 
 
-@dataclass
+@dataclass(eq=False)
 class PendingBatch:
     """Parent-side state of one dispatched batch.
 
-    ``requests`` are the live :class:`~repro.serve.queue.Request`
-    objects whose futures this batch resolves.  For partition mode the
-    batch goes through two phases (encode on one shard, then a top-k
-    broadcast) and ``await_shards`` / ``partials`` track the scatter;
-    replica mode resolves in one hop.  ``dead`` marks a batch that was
-    already failed/retried (e.g. its shard crashed) so straggling
-    responses for the same seq are dropped instead of double-resolving.
+    ``batch`` is the :class:`~repro.serve.server.Batch` whose futures
+    this message resolves, already stamped with the shard, model
+    version and served dimensionality it was dispatched with.  For
+    partition mode the batch goes through two phases (encode on one
+    shard, then a top-k broadcast) and ``await_shards`` / ``partials``
+    track the scatter; replica mode resolves in one hop.  ``dead``
+    marks a batch that was already failed/retried (e.g. its shard
+    crashed) so straggling responses for the same seq are dropped
+    instead of double-resolving.
     """
 
     seq: int
-    model: str
-    requests: List[object]
-    dim: int
-    shed_level: int
-    #: deployment version at dispatch time -- FIFO queues guarantee a
-    #: pre-swap batch is served by the pre-swap model, so this (not the
-    #: resolve-time registry version) is what the prediction must carry
-    version: int = 0
-    shard: Optional[int] = None          # replica mode / encode phase
-    t_dispatch: float = 0.0
+    batch: object
     phase: str = PREDICT                 # PREDICT | ENCODE | SEARCH
-    query_words: Optional[object] = None
     await_shards: Tuple[int, ...] = ()
     partials: Dict[int, object] = field(default_factory=dict)
     dead: bool = False
-    #: the leader request's TraceContext (trace_id + root span id) when
-    #: the batch was submitted under tracing; None otherwise
-    ctx: Optional[object] = None
     #: span id of the parent-side ``serve.dispatch`` span bracketing
     #: this batch -- worker spans parent under it, and the span record
     #: itself is emitted at resolve time with exactly this id

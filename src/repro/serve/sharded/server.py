@@ -1,18 +1,17 @@
-"""Process-sharded inference server with zero-copy shared models.
+"""Process-sharded serving: the serving core over shard processes.
 
-:class:`ShardedServer` keeps the thread server's public surface
-(``register`` / ``swap`` / ``submit`` / ``predict`` / ``stats`` /
-``start``/``stop`` context manager) but moves the compute out of the
+:class:`ShardedServer` is :class:`~repro.serve.server.Server` with a
+:class:`ProcessExecutor` behind it, so the compute runs outside the
 GIL::
 
-    submit() -> RequestQueue -> MicroBatcher -> dispatcher thread
-                                                     |  (mp.Queue, FIFO per shard)
-                        +---------------+------------+----------+
-                        v               v                       v
-                   shard proc 0    shard proc 1   ...     shard proc N-1
-                   (maps the ONE shared-memory model image read-only)
-                        |               |                       |
-                        +-------> result queue -> collector thread -> futures
+    Server._pump -> dispatcher thread
+                         |  (mp.Queue, FIFO per shard)
+        +----------------+--------------+----------+
+        v                v                         v
+   shard proc 0     shard proc 1     ...     shard proc N-1
+   (maps the ONE shared-memory model image read-only)
+        |                |                         |
+        +--------> result queue -> collector thread -> Server._resolve
 
 Routing comes in two modes (see
 :class:`~repro.serve.sharded.router.ShardRouter`): **replica** sends a
@@ -29,10 +28,9 @@ so a drained swap drops zero requests by construction.
 
 Resilience is per-shard: each shard process has a circuit breaker
 (crashes and errors open it; the router avoids open shards in replica
-mode), a supervisor respawns dead processes onto the *same* queues
-(undrained messages survive), and the
-:class:`~repro.serve.resilience.degrade.DegradationLadder` drives
-engine fallback across the process boundary via control messages.
+mode), the supervisor respawns dead processes onto the *same* queues
+(undrained messages survive), and the ladder's engine fallback crosses
+the process boundary as a control message.
 """
 
 from __future__ import annotations
@@ -52,31 +50,23 @@ from repro.core.packed import PackedModel
 from repro.core.shared import SharedImageSpec, SharedModelArena
 from repro.obs import distributed as obs_distributed
 from repro.obs import trace as obs_trace
-from repro.obs.recorder import FlightRecorder
 from repro.obs.registry import Registry
-from repro.obs.slo import SLOEngine
-from repro.serve.batcher import MicroBatcher
-from repro.serve.errors import (
-    RetriesExhausted,
-    ServeError,
-    WorkerError,
-    WorkerKilled,
-)
-from repro.serve.metrics import MetricsHub
-from repro.serve.policy import LoadShedPolicy
-from repro.serve.queue import QueueClosed, Request, RequestQueue
-from repro.serve.registry import Deployment, Model, ModelRegistry
-from repro.serve.resilience.breaker import OPEN, BreakerConfig, CircuitBreaker
-from repro.serve.resilience.degrade import DegradationLadder
-from repro.serve.resilience.retry import RetryPolicy, RetryScheduler
-from repro.serve.server import ServeConfig
+from repro.serve.errors import WorkerError
+from repro.serve.queue import Request
+from repro.serve.registry import Deployment, Model
+from repro.serve.resilience.breaker import OPEN
+from repro.serve.server import Batch, Executor, ServeConfig, Server
 from repro.serve.sharded import proto
 from repro.serve.sharded.router import ShardRouter
 from repro.serve.sharded.worker import worker_main
-from repro.serve.surface import ServingSurfaceBase
-from repro.serve.workers import Prediction
 
-__all__ = ["ShardedServeConfig", "ShardedServer"]
+__all__ = ["ProcessExecutor", "ShardedServeConfig", "ShardedServer"]
+
+#: seconds a drained swap waits for every shard's ack by default before
+#: keeping the old segment (it is then reclaimed at stop())
+SWAP_ACK_TIMEOUT = 10.0
+#: seconds stats() waits for worker snapshots by default
+STATS_TIMEOUT = 2.0
 
 
 @dataclass
@@ -88,13 +78,6 @@ class ShardedServeConfig(ServeConfig):
     mode: str = "replica"
     #: per-shard top-k width in partition mode (1 is enough for argmin)
     topk: int = 1
-    #: multiprocessing start method ("spawn" is safe with parent threads)
-    start_method: str = "spawn"
-    #: seconds to wait for every shard's swap ack before giving up on
-    #: unlinking the old segment (it is then reclaimed at stop())
-    swap_ack_timeout: float = 10.0
-    #: seconds stats() waits for worker snapshots
-    stats_timeout: float = 2.0
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -106,72 +89,30 @@ class ShardedServeConfig(ServeConfig):
             )
 
 
-class ShardedServer(ServingSurfaceBase):
-    """Micro-batching HDC service over N worker *processes*.
+class ProcessExecutor(Executor):
+    """Shard processes over one :class:`SharedModelArena` per server.
 
-    The second :class:`~repro.serve.surface.ServingSurface` backend:
-    the same call surface as :class:`~repro.serve.server.
-    InferenceServer` (request admission, predict conveniences and the
-    ``stats()`` schema are literally shared via
-    :class:`~repro.serve.surface.ServingSurfaceBase`), so
-    :class:`~repro.stream.loop.StreamLoop`, the benches and the fleet
-    aggregator drive either interchangeably.  Models are always served
-    from their bit-packed form; registering an
-    :class:`~repro.core.classifier.HDClassifier` packs it first
-    (sharded serving is the binary deployment path).
+    One dispatcher thread places each batch on a shard (or, in
+    partition mode, encodes on one shard and scatters the search), one
+    collector thread turns replies into :meth:`Server._resolve` /
+    :meth:`Server._fail_or_retry` calls, and the shard processes
+    (spawned, so parent threads are safe) map every model zero-copy.
     """
 
-    def __init__(self, config: Optional[ShardedServeConfig] = None,
-                 chaos=None):
-        self.config = config or ShardedServeConfig()
-        c = self.config
-        self.chaos = chaos
-        self.metrics = MetricsHub()
-        #: parent-side mirror of the deployments (owned model copies);
-        #: StreamLoop and the ladder read/drive this exactly as they
-        #: would the thread server's registry
-        self.registry = ModelRegistry()
-        self.policy = LoadShedPolicy(
-            max_level=c.max_shed_level, queue_high=c.queue_high,
-            queue_low=c.queue_low, p95_target=c.p95_target,
-            cooldown=c.shed_cooldown, window=c.latency_window,
-        )
-        self.queue = RequestQueue(maxsize=c.queue_size)
-        self.batcher = MicroBatcher(
-            self.queue, max_batch=c.max_batch, max_wait=c.max_wait
-        )
-        self.batcher.on_expired = self.expire_request
-        self.ladder = DegradationLadder(
-            self.registry, self.policy, metrics=self.metrics,
-            config=c.degrade,
-        )
-        self.retry_policy = RetryPolicy(
-            max_retries=c.max_retries, backoff=c.retry_backoff,
-            backoff_factor=c.retry_backoff_factor,
-            max_backoff=c.retry_max_backoff,
-        )
-        self.scheduler = RetryScheduler(self.queue)
-        self.recorder = FlightRecorder(dir=c.postmortem_dir)
-        self.slo = (SLOEngine(c.slos, registry=self.metrics.registry,
-                              ladder=self.ladder)
-                    if c.slos else None)
-        self.breakers = [
-            CircuitBreaker(c.breaker, name=f"shard-{i}")
-            for i in range(c.n_shards)
-        ]
-        self._breaker_gauge = self.metrics.registry.gauge(
-            "breaker_state", help="0=closed 1=half-open 2=open, per shard",
-            labels=("shard",),
-        )
+    slot_label = "shard"
+    reports_shard = True
+
+    def __init__(self, config: ShardedServeConfig):
+        self.config = config
+        self.n_slots = config.n_shards
         self.arena = SharedModelArena(prefix="shardsrv")
         self.router: Optional[ShardRouter] = None
-        self._ctx = mp.get_context(c.start_method)
-        self._task_queues = [self._ctx.Queue() for _ in range(c.n_shards)]
+        self._ctx = mp.get_context("spawn")
+        self._task_queues = [self._ctx.Queue() for _ in range(self.n_slots)]
         self._result_queue = self._ctx.Queue()
         self._procs: List[Optional[mp.process.BaseProcess]] = (
-            [None] * c.n_shards
-        )
-        self._specs: Dict[str, SharedImageSpec] = {}
+            [None] * self.n_slots)
+        self.specs: Dict[str, SharedImageSpec] = {}
         self._seq = itertools.count(1)
         self._pending: Dict[int, proto.PendingBatch] = {}
         self._plock = threading.Lock()
@@ -181,120 +122,69 @@ class ShardedServer(ServingSurfaceBase):
         #: aggregated per-shard observability (absorbed worker registries)
         self.shard_registry = Registry(namespace="shard")
         self._threads: List[threading.Thread] = []
-        self._stop = threading.Event()
         self._started = False
-        self.worker_restarts = 0
-        #: requests resolved per shard (the shard that answered them;
-        #: in partition mode the one that encoded them), counted where
-        #: the served counter is, so the two always reconcile
-        self._served_by_shard = [0] * self.config.n_shards
         #: tracing state last propagated to the worker fleet; the
         #: supervisor forwards TRACE messages when the parent's flips
         self._trace_sent = False
 
     # -- deployments ---------------------------------------------------------
 
-    @staticmethod
-    def _pack(model: Model) -> PackedModel:
-        if isinstance(model, PackedModel):
-            return model
-        if isinstance(model, HDClassifier):
-            return PackedModel.from_classifier(model)
-        raise TypeError(
-            f"cannot shard-deploy {type(model).__name__}; expected "
-            "HDClassifier or PackedModel"
-        )
-
-    def register(self, name: str, model: Model,
-                 min_dim: Optional[int] = None) -> Deployment:
-        """Deploy ``model`` on every shard (packed, one shared image)."""
-        packed = self._pack(model)
-        dep = self.registry.register(
-            name, packed, min_dim=min_dim, config=self.config.config,
-        )
-        spec = packed.to_shared(self.arena, epoch=dep.version)
-        old = self._specs.get(name)
-        self._specs[name] = spec
+    def deploy(self, name: str, packed: PackedModel, version: int) -> None:
+        """Publish ``packed`` as a new segment and install it everywhere."""
+        old = self.specs.get(name)
+        self.specs[name] = spec = packed.to_shared(self.arena, epoch=version)
         self._engine_degraded[name] = False
         if self._started:
-            for q in self._task_queues:
-                q.put((proto.DEPLOY, name, spec))
+            self._broadcast((proto.DEPLOY, name, spec))
         if old is not None:
             self.arena.unlink(old.segment)
-        self.metrics.registry.gauge(
-            "model_version", help="deployed model version", labels=("model",),
-        ).labels(model=name).set(dep.version)
-        return dep
 
-    def swap(self, name: str, model: Model,
-             dim_order: Optional[np.ndarray] = None,
-             drain: bool = True,
-             drain_timeout: Optional[float] = None) -> Deployment:
-        """Epoch-based hot swap: publish, flip every shard, then unlink.
+    def swap(self, name: str, packed: PackedModel, version: int,
+             drain: bool, timeout: float) -> bool:
+        """Flip every shard to a new segment; unlink the old on full ack.
 
-        The new image goes out as a *new* shared segment with a bumped
-        epoch.  Each shard's FIFO queue gets a swap message; a shard's
-        ack therefore certifies that every batch dispatched before the
-        swap has been answered.  With ``drain=True`` the call blocks
-        until all live shards ack (bounded by ``drain_timeout`` /
-        ``ShardedServeConfig.swap_ack_timeout``) and only then unlinks
-        the old segment -- zero dropped requests by construction.  On
-        an ack timeout the old segment is kept (reclaimed at
-        :meth:`stop`) rather than yanked from under a slow shard.
-
-        ``dim_order`` is unsupported here: packed class words bake the
-        dimension layout in (the mirror registry enforces the same).
+        Returns False when ``drain`` waited out ``timeout`` without
+        every live shard's ack (the old segment then stays until
+        :meth:`close`).
         """
-        if dim_order is not None:
-            raise ValueError(
-                "sharded serving deploys packed models; dim_order "
-                "regeneration needs the thread server's classifier path"
-            )
-        packed = self._pack(model)
-        dep = self.registry.swap(name, packed, drain=False)
-        old = self._specs.get(name)
-        spec = packed.to_shared(self.arena, epoch=dep.version)
-        self._specs[name] = spec
+        old = self.specs.get(name)
+        self.specs[name] = spec = packed.to_shared(self.arena, epoch=version)
+        if not self._started:
+            if old is not None:
+                self.arena.unlink(old.segment)
+            return True
         ack_seq = next(self._seq)
         alive = {i for i, p in enumerate(self._procs)
                  if p is not None and p.is_alive()}
-        state = {"remaining": set(alive) or set(range(self.config.n_shards)),
-                 "event": threading.Event(), "name": name}
-        if self._started:
-            with self._plock:
-                self._acks[ack_seq] = state
-            for q in self._task_queues:
-                q.put((proto.SWAP, name, spec, ack_seq))
-        else:
-            state["event"].set()
-        self.metrics.counter("model_swaps").inc()
-        self.metrics.registry.gauge(
-            "model_version", help="deployed model version", labels=("model",),
-        ).labels(model=name).set(dep.version)
-        if drain and self._started:
-            timeout = (self.config.swap_ack_timeout
-                       if drain_timeout is None else drain_timeout)
-            acked = state["event"].wait(timeout)
-            with self._plock:
-                self._acks.pop(ack_seq, None)
-            if acked and old is not None:
-                self.arena.unlink(old.segment)
-            elif not acked:
-                self.metrics.counter("swap_ack_timeouts").inc()
-        elif old is not None and not self._started:
+        state = {"remaining": alive or set(range(self.n_slots)),
+                 "event": threading.Event()}
+        with self._plock:
+            self._acks[ack_seq] = state
+        self._broadcast((proto.SWAP, name, spec, ack_seq))
+        if not drain:
+            return True
+        acked = state["event"].wait(timeout)
+        with self._plock:
+            self._acks.pop(ack_seq, None)
+        if acked and old is not None:
             self.arena.unlink(old.segment)
-        return dep
+        return acked
+
+    def _broadcast(self, msg) -> None:
+        for q in self._task_queues:
+            try:
+                q.put(msg)
+            except (ValueError, OSError):
+                pass
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start(self) -> "ShardedServer":
-        if self._started:
-            raise RuntimeError("server already started")
-        c = self.config
+    def start(self) -> None:
+        registry = self.server.registry
         n_classes = None
-        if c.mode == "partition":
-            dims = {name: len(self.registry.get(name).model.class_labels)
-                    for name in self.registry.names()}
+        if self.config.mode == "partition":
+            dims = {name: len(registry.get(name).model.class_labels)
+                    for name in registry.names()}
             if not dims:
                 raise RuntimeError(
                     "partition mode: register at least one model before "
@@ -306,53 +196,35 @@ class ShardedServer(ServingSurfaceBase):
                     f"count; got {dims}"
                 )
             n_classes = next(iter(dims.values()))
-        self.router = ShardRouter(
-            c.n_shards, mode=c.mode, n_classes=n_classes,
-        )
-        self._stop.clear()
+        self.router = ShardRouter(self.n_slots, mode=self.config.mode,
+                                  n_classes=n_classes)
         self._started = True
-        obs_trace.add_sink(self.recorder)
         self._trace_sent = obs_trace.tracing_enabled()
-        for i in range(c.n_shards):
+        for i in range(self.n_slots):
             self._procs[i] = self._spawn(i)
-        self.scheduler.start()
         for target, tag in ((self._dispatch_loop, "dispatch"),
-                            (self._collect_loop, "collect"),
-                            (self._supervise_loop, "supervise")):
-            t = threading.Thread(target=target,
-                                 name=f"sharded-{tag}", daemon=True)
+                            (self._collect_loop, "collect")):
+            t = threading.Thread(target=target, name=f"sharded-{tag}",
+                                 daemon=True)
             t.start()
             self._threads.append(t)
-        return self
 
     def _spawn(self, shard: int):
         proc = self._ctx.Process(
             target=worker_main,
             args=(shard, None, self._task_queues[shard],
-                  self._result_queue, dict(self._specs),
+                  self._result_queue, dict(self.specs),
                   obs_trace.tracing_enabled()),
             name=f"shard-worker-{shard}", daemon=True,
         )
         proc.start()
         return proc
 
-    def stop(self, timeout: Optional[float] = 5.0) -> None:
-        """Stop admitting, drain shards, fail leftovers, free segments."""
-        if not self._started:
-            self.arena.close_all()
-            return
-        obs_trace.remove_sink(self.recorder)
-        self.queue.close()
-        self._stop.set()
-        for q in self._task_queues:
-            try:
-                q.put((proto.STOP,))
-            except (ValueError, OSError):
-                pass
+    def stop(self, timeout: Optional[float]) -> List[Request]:
+        self._broadcast((proto.STOP,))
         for t in self._threads:
             t.join(timeout=timeout)
         self._threads = []
-        self.scheduler.stop(timeout=timeout)
         for i, proc in enumerate(self._procs):
             if proc is None:
                 continue
@@ -364,172 +236,92 @@ class ShardedServer(ServingSurfaceBase):
         with self._plock:
             pendings = list(self._pending.values())
             self._pending.clear()
-        err = QueueClosed("server stopped before request was served")
-        for pending in pendings:
-            for req in pending.requests:
-                if not req.future.done():
-                    req.future.set_exception(err)
-        for req in self.queue.drain():
-            if not req.future.done():
-                req.future.set_exception(err)
         for q in self._task_queues + [self._result_queue]:
             q.cancel_join_thread()
-        self.arena.close_all()
         self._started = False
+        return [req for p in pendings for req in p.batch.requests]
 
-    # submit/asubmit/apredict/predict/predict_many/predict_encoded and
-    # the context manager come from ServingSurfaceBase.
+    def close(self) -> None:
+        self.arena.close_all()
 
     # -- dispatcher ----------------------------------------------------------
 
+    def _dispatch_loop(self) -> None:
+        self.server._pump(self._dispatch_all)
+
+    def _dispatch_all(self, batches: List[Batch]) -> None:
+        for batch in batches:
+            self._dispatch(batch)
+
     def _eligible_shards(self) -> List[int]:
-        return [i for i in range(self.config.n_shards)
-                if self.breakers[i].state != OPEN
+        breakers = self.server.breakers
+        return [i for i in range(self.n_slots)
+                if breakers[i].state != OPEN
                 and self._procs[i] is not None
                 and self._procs[i].is_alive()]
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            batch = self.batcher.next_batch(timeout=0.05)
-            if not batch:
-                if self._stop.is_set() or self.queue.closed:
-                    return
-                continue
-            self.metrics.histogram("batch_size").record(len(batch))
-            by_model: Dict[str, List[Request]] = {}
-            for req in batch:
-                by_model.setdefault(req.model, []).append(req)
-            for model_name, requests in by_model.items():
-                self._dispatch_group(model_name, requests)
-            level = self.policy.observe(self.queue.depth())
-            self.metrics.gauge("shed_level").set(level)
-            self.metrics.gauge("queue_depth").set(self.queue.depth())
-
-    def _dispatch_group(self, model_name: str,
-                        requests: List[Request]) -> None:
-        now = time.monotonic()
-        live = []
-        for req in requests:
-            if req.expired(now):
-                self.expire_request(req)
-                continue
-            self.metrics.histogram("queue_wait").record(now - req.enqueue_t)
-            live.append(req)
-        if not live:
-            return
+    def _dispatch(self, batch: Batch) -> None:
+        server = self.server
         seq = next(self._seq)
-        shard = self.router.pick((model_name, seq),
-                                 eligible=self._eligible_shards())
-        if self.chaos is not None:
-            try:
-                # may sleep, raise InjectedFault, or raise WorkerKilled
-                self.chaos.on_group(shard, model_name)
-            except WorkerKilled:
-                # a *process* kill: terminate the shard like a real
-                # crash; the supervisor respawns it and the requests
-                # take the retry path
-                self.metrics.counter("worker_kills").inc()
-                proc = self._procs[shard]
-                if proc is not None and proc.is_alive():
-                    proc.terminate()
-                err = WorkerError(
-                    f"shard {shard} killed by chaos policy",
-                    model=model_name, worker=shard, retryable=True,
-                )
-                self.breakers[shard].record_failure()
-                leader = next(
-                    (r for r in live if r.ctx is not None), None,
-                )
-                affected = (obs_distributed.fmt_id(leader.ctx.trace_id)
-                            if leader is not None else None)
-                if leader is not None:
-                    # the affected batch's failed dispatch bracket: puts
-                    # the trace into the recorder's ring *before* the
-                    # bundle snapshot, so the postmortem leads with it
-                    obs_trace.emit_span(
-                        "serve.dispatch", time.monotonic() - now,
-                        attrs={"model": model_name, "shard": shard,
-                               "error": "worker_kill"},
-                        ctx=leader.ctx,
-                    )
-                self.recorder.record_event(
-                    "worker_kill", shard=shard, model=model_name,
-                    trace_id=affected,
-                )
-                self.recorder.dump(
-                    "worker_kill", trace_id=affected,
-                    extra={"shard": shard, "model": model_name,
-                           "batch": len(live)},
-                )
-                for req in live:
-                    self._fail_or_retry(req, err)
-                return
-            except ServeError as err:
-                self.breakers[shard].record_failure()
-                for req in live:
-                    self._fail_or_retry(req, err)
-                return
-        try:
-            dep = self.registry.get(model_name)
-        except KeyError:
-            err = WorkerError(f"model {model_name!r} was unregistered",
-                              model=model_name, retryable=False)
-            for req in live:
-                self._fail_or_retry(req, err)
+        batch.slot = shard = self.router.pick(
+            (batch.model, seq), eligible=self._eligible_shards())
+        if not server._chaos(batch):
             return
-        level = self.policy.level
-        dim = dep.dim_for_level(level)
+        try:
+            dep = server.registry.get(batch.model)
+        except KeyError:
+            err = WorkerError(f"model {batch.model!r} was unregistered",
+                              model=batch.model, retryable=False)
+            for req in batch.requests:
+                server._fail_or_retry(req, err)
+            return
+        batch.shed_level = level = server.policy.level
+        batch.dim = dim = dep.dim_for_level(level)
+        batch.full_dim, batch.version = dep.dim, dep.version
         wire_dim = None if dim >= dep.dim else dim
-        X = np.stack([np.asarray(r.x, dtype=np.float64) for r in live])
-        pending = proto.PendingBatch(
-            seq=seq, model=model_name, requests=live, dim=dim,
-            shed_level=level, version=dep.version, shard=shard,
-            t_dispatch=now,
-        )
+        X = np.stack([np.asarray(r.x, dtype=np.float64)
+                      for r in batch.requests])
+        pending = proto.PendingBatch(seq=seq, batch=batch)
         # the batch's dispatch->resolve bracket gets its own span under
         # the leader request's trace; the worker parents its spans
         # under that span's id, wired with the message
-        leader_ctx = next((r.ctx for r in live if r.ctx is not None), None)
         wire_ctx = None
-        if leader_ctx is not None:
-            pending.ctx = leader_ctx
+        if batch.ctx is not None:
             pending.dispatch_span_id = obs_distributed.new_span_id()
-            wire_ctx = (leader_ctx.trace_id, pending.dispatch_span_id)
+            wire_ctx = (batch.ctx.trace_id, pending.dispatch_span_id)
         if self.config.mode == "replica":
             fault_draw = None
-            if self.chaos is not None:
-                draw = self.chaos.memory_fault(shard)
+            if server.chaos is not None:
+                draw = server.chaos.memory_fault(shard)
                 if draw is not None:
                     spec_f, rng = draw
                     fault_draw = (spec_f, int(rng.integers(0, 2 ** 63)))
-            pending.phase = proto.PREDICT
-            with self._plock:
-                self._pending[seq] = pending
-            self.router.dispatched(shard)
-            self._task_queues[shard].put(
-                (proto.PREDICT, seq, model_name, X, wire_dim, fault_draw,
-                 wire_ctx)
-            )
+            msg = (proto.PREDICT, seq, batch.model, X, wire_dim, fault_draw,
+                   wire_ctx)
         else:
             pending.phase = proto.ENCODE
-            with self._plock:
-                self._pending[seq] = pending
-            self.router.dispatched(shard)
-            self._task_queues[shard].put(
-                (proto.ENCODE, seq, model_name, X, wire_ctx)
-            )
+            msg = (proto.ENCODE, seq, batch.model, X, wire_ctx)
+        with self._plock:
+            self._pending[seq] = pending
+        self.router.dispatched(shard)
+        self._task_queues[shard].put(msg)
 
     # -- collector -----------------------------------------------------------
 
     def _collect_loop(self) -> None:
+        stop = self.server._stop
         while True:
             try:
                 msg = self._result_queue.get(timeout=0.05)
             except (std_queue.Empty, OSError, EOFError):
-                if self._stop.is_set():
+                if stop.is_set():
                     return
                 continue
             shard_id, kind, seq, payload = msg[:4]
+            if kind in (proto.OK, proto.ERR):
+                # every serving reply releases its shard's load, even
+                # one for a batch an earlier error already failed
+                self.router.completed(shard_id)
             if kind == proto.ACK:
                 self._handle_ack(shard_id, seq)
             elif kind == proto.STATS_R:
@@ -547,9 +339,7 @@ class ShardedServer(ServingSurfaceBase):
                 self._handle_ok(shard_id, seq, payload)
             elif kind == proto.SPANS:
                 # worker span records, already carrying the request's
-                # trace ids: re-emit into the parent's sinks.  The
-                # worker registry is absorbed wholesale by shard_stats,
-                # so no local aggregation (aggregate=False).
+                # trace ids: re-emit into the parent's sinks
                 for record in payload:
                     obs_trace.emit_foreign(record)
 
@@ -570,6 +360,7 @@ class ShardedServer(ServingSurfaceBase):
                 return
             state["remaining"].discard(shard_id)
             if not state["remaining"]:
+                del self._acks[ack_seq]
                 state["event"].set()
 
     def _handle_stats(self, shard_id: int, seq: int, payload: Dict) -> None:
@@ -582,58 +373,22 @@ class ShardedServer(ServingSurfaceBase):
                 waiter["event"].set()
 
     def _handle_error(self, shard_id: int, seq: int, payload: Dict) -> None:
+        self.server.breakers[shard_id].record_failure()
         pending = self._take_pending(seq, pop=True)
-        self.breakers[shard_id].record_failure()
         if pending is None:
             return
-        self.router.completed(shard_id)
+        batch = pending.batch
         err = WorkerError(
-            f"shard {shard_id} failed serving {pending.model!r}: "
+            f"shard {shard_id} failed serving {batch.model!r}: "
             f"{payload.get('kind')}: {payload.get('message')}",
-            model=pending.model, worker=shard_id, retryable=True,
+            model=batch.model, worker=shard_id, retryable=True,
         )
-        for req in pending.requests:
-            self._fail_or_retry(req, err)
+        for req in batch.requests:
+            self.server._fail_or_retry(req, err)
 
     def _handle_ok(self, shard_id: int, seq: int, payload) -> None:
         pkind, data = payload
-        if pkind == proto.PREDICT:
-            pending = self._take_pending(seq, pop=True)
-            if pending is None:
-                return
-            self.router.completed(shard_id)
-            self.breakers[shard_id].record_success(
-                time.monotonic() - pending.t_dispatch
-            )
-            self._resolve(pending, data, shard_id)
-        elif pkind == proto.ENCODE:
-            pending = self._take_pending(seq, pop=False)
-            if pending is None:
-                return
-            self.router.completed(shard_id)
-            self.breakers[shard_id].record_success(
-                time.monotonic() - pending.t_dispatch
-            )
-            # phase 2: broadcast the packed query words; every live
-            # shard answers a top-k over its class-row slice
-            pending.phase = proto.SEARCH
-            pending.query_words = data
-            dep = self.registry.get(pending.model)
-            wire_dim = None if pending.dim >= dep.dim else pending.dim
-            targets = tuple(range(self.config.n_shards))
-            pending.await_shards = targets
-            wire_ctx = (
-                (pending.ctx.trace_id, pending.dispatch_span_id)
-                if pending.ctx is not None else None
-            )
-            for s in targets:
-                rows = self.router.shard_rows(s)
-                self.router.dispatched(s)
-                self._task_queues[s].put((
-                    proto.SEARCH, seq, pending.model, data, wire_dim,
-                    self.config.topk, (rows.start, rows.stop), wire_ctx,
-                ))
-        elif pkind == proto.SEARCH:
+        if pkind == proto.SEARCH:
             with self._plock:
                 pending = self._pending.get(seq)
                 if pending is None or pending.dead:
@@ -643,215 +398,132 @@ class ShardedServer(ServingSurfaceBase):
                             >= len(pending.await_shards))
                 if complete:
                     del self._pending[seq]
-            self.router.completed(shard_id)
-            self.breakers[shard_id].record_success(
-                time.monotonic() - pending.t_dispatch
-            )
-            if not complete:
+        else:
+            pending = self._take_pending(seq, pop=pkind == proto.PREDICT)
+            if pending is None:
                 return
+        batch = pending.batch
+        self.server.breakers[shard_id].record_success(
+            time.monotonic() - batch.t_start)
+        if pkind == proto.PREDICT:
+            self._finish(pending, data)
+        elif pkind == proto.ENCODE:
+            # phase 2: broadcast the packed query words; every shard
+            # answers a top-k over its class-row slice
+            pending.phase = proto.SEARCH
+            pending.await_shards = targets = tuple(range(self.n_slots))
+            wire_dim = None if batch.dim >= batch.full_dim else batch.dim
+            wire_ctx = ((batch.ctx.trace_id, pending.dispatch_span_id)
+                        if batch.ctx is not None else None)
+            for s in targets:
+                rows = self.router.shard_rows(s)
+                self.router.dispatched(s)
+                self._task_queues[s].put((
+                    proto.SEARCH, seq, batch.model, data, wire_dim,
+                    self.config.topk, (rows.start, rows.stop), wire_ctx,
+                ))
+        elif complete:  # the last SEARCH partial: merge and answer
             t_merge = time.monotonic()
-            dists, rows = self.router.merge(pending.partials,
-                                            k=self.config.topk)
-            dep = self.registry.get(pending.model)
-            labels = dep.model.class_labels[rows[:, 0]]
-            if pending.ctx is not None:
+            _, rows = self.router.merge(pending.partials, k=self.config.topk)
+            labels = (self.server.registry.get(batch.model)
+                      .model.class_labels[rows[:, 0]])
+            if batch.ctx is not None:
                 obs_trace.emit_span(
                     "serve.merge", time.monotonic() - t_merge,
-                    attrs={"model": pending.model,
+                    attrs={"model": batch.model,
                            "shards": len(pending.partials)},
                     ctx=obs_distributed.TraceContext(
-                        pending.ctx.trace_id, pending.dispatch_span_id
-                    ),
+                        batch.ctx.trace_id, pending.dispatch_span_id),
                 )
-            self._resolve(pending, labels, pending.shard)
+            self._finish(pending, labels)
 
-    def _resolve(self, pending: proto.PendingBatch, labels,
-                 shard: Optional[int]) -> None:
-        dep = self.registry.get(pending.model)
-        done = time.monotonic()
-        self.metrics.histogram("serve_seconds").record(
-            done - pending.t_dispatch
-        )
-        if pending.dim < dep.dim:
-            self.metrics.counter("shed_predictions").inc(
-                len(pending.requests)
-            )
-        if pending.ctx is not None:
+    def _finish(self, pending: proto.PendingBatch, labels) -> None:
+        batch = pending.batch
+        if batch.ctx is not None:
             # the dispatch->resolve bracket: parent of every worker
             # span of this batch, child of the leader request's root
             obs_trace.emit_span(
-                "serve.dispatch", done - pending.t_dispatch,
-                attrs={"model": pending.model, "shard": shard,
+                "serve.dispatch", time.monotonic() - batch.t_start,
+                attrs={"model": batch.model, "shard": batch.slot,
                        "mode": self.config.mode,
-                       "batch": len(pending.requests)},
-                ctx=pending.ctx, span_id=pending.dispatch_span_id,
+                       "batch": len(batch.requests)},
+                ctx=batch.ctx, span_id=pending.dispatch_span_id,
             )
-        for req, label in zip(pending.requests, np.asarray(labels)):
-            latency = done - req.enqueue_t
-            self.metrics.histogram("total").record(latency)
-            self.policy.record_latency(latency)
-            if self.slo is not None:
-                self.slo.record(latency, ok=True)
-            trace_id = None
-            if req.ctx is not None:
-                trace_id = obs_distributed.fmt_id(req.ctx.trace_id)
-                obs_trace.emit_span(
-                    "serve.request", latency,
-                    attrs={"model": dep.name, "shard": shard},
-                    ctx=req.ctx, span_id=req.ctx.span_id,
-                )
-            if not req.future.cancelled() and not req.future.done():
-                req.future.set_result(Prediction(
-                    label=label, model=dep.name, version=pending.version,
-                    dim=pending.dim, shed_level=pending.shed_level,
-                    latency=latency, attempts=req.attempts, shard=shard,
-                    trace_id=trace_id,
-                ))
-        self.metrics.counter("served").inc(len(pending.requests))
-        self._served_by_shard[shard] += len(pending.requests)
+        self.server._resolve(batch, np.asarray(labels))
 
-    # -- supervisor ----------------------------------------------------------
+    # -- supervision ---------------------------------------------------------
 
-    def _supervise_loop(self) -> None:
-        prev_codes = [b.state_code for b in self.breakers]
-        prev_tier = self.ladder.tier
-        while not self._stop.wait(0.05):
-            for i, proc in enumerate(self._procs):
-                if proc is None or proc.is_alive():
-                    continue
-                # a dead shard: open-circuit it, respawn onto the SAME
-                # queues (unread messages survive), retry its in-flight
-                # batches
-                self.worker_restarts += 1
-                self.metrics.counter("worker_restarts").inc()
-                self.breakers[i].record_failure()
-                self.recorder.record_event(
-                    "worker_respawn", shard=i,
-                    exitcode=proc.exitcode,
-                )
-                self._fail_shard_pendings(i)
-                self._procs[i] = self._spawn(i)
-            for i, breaker in enumerate(self.breakers):
-                code = breaker.state_code
-                self._breaker_gauge.labels(shard=str(i)).set(code)
-                if code != prev_codes[i]:
-                    self.recorder.record_event(
-                        "breaker_transition", shard=i,
-                        state=breaker.state, code=code,
-                    )
-                    prev_codes[i] = code
-            self.ladder.observe(self.breakers)
-            if self.slo is not None:
-                self.slo.evaluate()
-            tier = self.ladder.tier
-            if tier != prev_tier:
-                self.recorder.record_event(
-                    "ladder_tier", old=prev_tier, new=tier
-                )
-                prev_tier = tier
-            self._propagate_engine_state()
-            # forward the parent's tracing state so workers start/stop
-            # producing SPANS in step with enable_tracing()
-            enabled = obs_trace.tracing_enabled()
-            if enabled != self._trace_sent:
-                self._trace_sent = enabled
-                for q in self._task_queues:
-                    try:
-                        q.put((proto.TRACE, enabled))
-                    except (ValueError, OSError):
-                        pass
+    def respawn_dead(self) -> List[Dict]:
+        events = []
+        for i, proc in enumerate(self._procs):
+            if proc is None or proc.is_alive():
+                continue
+            # a dead shard: open-circuit it, respawn onto the SAME
+            # queues (unread messages survive), retry its in-flight
+            # batches
+            self.server.breakers[i].record_failure()
+            self._fail_shard_pendings(i)
+            self._procs[i] = self._spawn(i)
+            events.append({"shard": i, "exitcode": proc.exitcode})
+        return events
 
     def _fail_shard_pendings(self, shard: int) -> None:
         """Retry/fail every in-flight batch the dead shard owned."""
         with self._plock:
             doomed = [p for p in self._pending.values()
-                      if p.shard == shard
+                      if p.batch.slot == shard
                       or (p.phase == proto.SEARCH
                           and shard in p.await_shards
                           and shard not in p.partials)]
             for p in doomed:
                 p.dead = True
                 self._pending.pop(p.seq, None)
-            for state in self._acks.values():
-                # a swap ack will still arrive if the message survived
-                # in the queue; only give up when the respawn also died
-                state.setdefault("crashes", 0)
-        err_template = "shard {s} died with the batch in flight"
-        for p in doomed:
+        if doomed:
+            # the message the shard died on never gets a reply; the
+            # ones still queued are answered by its replacement
             self.router.completed(shard)
-            err = WorkerError(err_template.format(s=shard),
-                              model=p.model, worker=shard, retryable=True)
-            for req in p.requests:
-                self._fail_or_retry(req, err)
+        for p in doomed:
+            err = WorkerError(f"shard {shard} died with the batch in flight",
+                              model=p.batch.model, worker=shard,
+                              retryable=True)
+            for req in p.batch.requests:
+                self.server._fail_or_retry(req, err)
+
+    def kill(self, slot: int) -> None:
+        # a *process* kill: terminate the shard like a real crash; the
+        # supervisor respawns it
+        proc = self._procs[slot]
+        if proc is not None and proc.is_alive():
+            proc.terminate()
+
+    def tick(self) -> None:
+        self._propagate_engine_state()
+        # forward the parent's tracing state so workers start/stop
+        # producing spans in step with enable_tracing()
+        enabled = obs_trace.tracing_enabled()
+        if enabled != self._trace_sent:
+            self._trace_sent = enabled
+            self._broadcast((proto.TRACE, enabled))
 
     def _propagate_engine_state(self) -> None:
         """Ship the ladder's tier-1 engine fallback across processes.
 
         The ladder flips :meth:`Deployment.fallback_engine` on the
-        *mirror* deployments; workers hold their own model objects, so
+        parent's deployments; workers hold their own model objects, so
         the transition is forwarded as a control message per shard.
         """
-        for name in self.registry.names():
+        registry = self.server.registry
+        for name in registry.names():
             try:
-                dep = self.registry.get(name)
+                degraded = registry.get(name).degraded
             except KeyError:
                 continue
-            degraded = dep.degraded
             if degraded == self._engine_degraded.get(name, False):
                 continue
             self._engine_degraded[name] = degraded
             engine = (self.config.degrade.fallback_engine
                       if degraded else None)
-            for q in self._task_queues:
-                q.put((proto.ENGINE, name, engine))
-
-    # -- failure disposition -------------------------------------------------
-
-    def expire_request(self, request: Request) -> None:
-        """Shed one expired request (also the batcher's on_expired hook)."""
-        from repro.serve.errors import DeadlineExceeded
-
-        self.metrics.counter("deadline_expired").inc()
-        if self.slo is not None:
-            self.slo.record(time.monotonic() - request.enqueue_t, ok=False)
-        self.recorder.record_event(
-            "deadline_expired", model=request.model,
-            attempts=request.attempts,
-            trace_id=(obs_distributed.fmt_id(request.ctx.trace_id)
-                      if request.ctx is not None else None),
-        )
-        if not request.future.done():
-            request.future.set_exception(DeadlineExceeded(
-                f"deadline expired before {request.model!r} could serve "
-                f"the request (after {request.attempts} retries)",
-                model=request.model, attempts=request.attempts,
-            ))
-
-    def _fail_or_retry(self, request: Request, err: ServeError) -> None:
-        now = time.monotonic()
-        if self.retry_policy.should_retry(request, err, now):
-            request.attempts += 1
-            delay = self.retry_policy.delay_for(request.attempts)
-            try:
-                self.scheduler.schedule(request, delay, now)
-                self.metrics.counter("retries").inc()
-                return
-            except QueueClosed:
-                pass
-        self.metrics.counter("errors").inc()
-        if self.slo is not None:
-            self.slo.record(now - request.enqueue_t, ok=False)
-        if request.future.done():
-            return
-        final: ServeError = err
-        if request.attempts > 0 and getattr(err, "retryable", False):
-            final = RetriesExhausted(
-                f"gave up on {request.model!r} after "
-                f"{request.attempts + 1} attempts",
-                model=request.model, worker=err.worker,
-                attempts=request.attempts + 1, cause=err,
-            )
-        request.future.set_exception(final)
+            self._broadcast((proto.ENGINE, name, engine))
 
     # -- introspection -------------------------------------------------------
 
@@ -864,7 +536,6 @@ class ShardedServer(ServingSurfaceBase):
         """
         if not self._started:
             return {}
-        timeout = self.config.stats_timeout if timeout is None else timeout
         alive = [i for i, p in enumerate(self._procs)
                  if p is not None and p.is_alive()]
         if not alive:
@@ -876,72 +547,119 @@ class ShardedServer(ServingSurfaceBase):
             self._stats_waiters[seq] = waiter
         for i in alive:
             self._task_queues[i].put((proto.STATS, seq))
-        waiter["event"].wait(timeout)
+        waiter["event"].wait(STATS_TIMEOUT if timeout is None else timeout)
         with self._plock:
             self._stats_waiters.pop(seq, None)
         results = dict(waiter["results"])
         for shard, payload in results.items():
             self.shard_registry.absorb_state(
-                payload.pop("registry", {}), {"shard": shard}
-            )
+                payload.pop("registry", {}), {"shard": shard})
         return results
 
-    # stats() itself comes from ServingSurfaceBase; the hooks below add
-    # the process-sharding specifics (schema-checked optional keys).
-
-    def _breaker_list(self):
-        return self.breakers
-
-    def _restart_count(self) -> int:
-        return self.worker_restarts
-
-    def _deployment_extra(self, name: str, dep: Deployment) -> Dict:
-        spec = self._specs.get(name)
-        return {
-            "segment": spec.segment if spec is not None else None,
-            "epoch": spec.epoch if spec is not None else None,
-            "model_bytes": dep.model.model_bytes(),
-        }
-
-    def _extra_stats(self) -> Dict:
-        return {
-            "shards": self.shard_stats(),
-            "shard_metrics": self.shard_registry.snapshot(),
-            "router": {
-                "mode": self.config.mode,
-                "n_shards": self.config.n_shards,
-                "loads": self.router.loads() if self.router else None,
-            },
-        }
-
-    def worker_utilization(self) -> Dict[str, List[float]]:
-        """Per-shard busy time (pulled from workers) and served counts.
-
-        ``served`` counts each request once, when the parent resolves
-        it, at the shard that answered it (partition mode: the shard
-        that encoded it), so it sums to the ``served`` counter even
-        when searches fail and requests retry.
-        """
-        busy = [float(payload.get("busy_seconds", 0.0))
+    def busy_seconds(self) -> List[float]:
+        return [float(payload.get("busy_seconds", 0.0))
                 for _, payload in sorted(self.shard_stats().items())]
-        return {"busy_seconds": busy, "served": list(self._served_by_shard)}
+
+    def annotate_stats(self, snap: Dict) -> None:
+        for name, entry in snap["deployments"].items():
+            spec = self.specs.get(name)
+            entry.update({
+                "segment": spec.segment if spec is not None else None,
+                "epoch": spec.epoch if spec is not None else None,
+                "model_bytes": self.server.registry.get(name)
+                .model.model_bytes(),
+            })
+        snap["shards"] = self.shard_stats()
+        snap["shard_metrics"] = self.shard_registry.snapshot()
+        snap["router"] = {
+            "mode": self.config.mode,
+            "n_shards": self.n_slots,
+            "loads": self.router.loads() if self.router else None,
+        }
 
     def render_prometheus(self) -> str:
-        """Parent metrics plus the absorbed per-shard series."""
-        return (self.metrics.render_prometheus()
-                + self.shard_registry.render_prometheus())
+        return self.shard_registry.render_prometheus()
 
-    def wait_idle(self, timeout: float = 10.0, poll: float = 0.005) -> bool:
-        """Block until queue, retry heap and in-flight batches are empty."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._plock:
-                inflight = len(self._pending)
-            if (self.queue.depth() == 0 and inflight == 0
-                    and self.scheduler.pending() == 0):
-                return True
-            time.sleep(poll)
-        with self._plock:
-            inflight = len(self._pending)
-        return (self.queue.depth() == 0 and inflight == 0
-                and self.scheduler.pending() == 0)
+
+class ShardedServer(Server):
+    """The serving core over N shard processes (:class:`ProcessExecutor`).
+
+    Models are always served from their bit-packed form; registering an
+    :class:`~repro.core.classifier.HDClassifier` packs it first
+    (sharded serving is the binary deployment path).
+    """
+
+    def __init__(self, config: Optional[ShardedServeConfig] = None,
+                 chaos=None):
+        config = config or ShardedServeConfig()
+        super().__init__(config, ProcessExecutor(config), chaos)
+
+    @property
+    def arena(self) -> SharedModelArena:
+        return self.executor.arena
+
+    @property
+    def router(self) -> Optional[ShardRouter]:
+        return self.executor.router
+
+    def shard_stats(self, timeout: Optional[float] = None) -> Dict[int, Dict]:
+        return self.executor.shard_stats(timeout)
+
+    @staticmethod
+    def _pack(model: Model) -> PackedModel:
+        if isinstance(model, PackedModel):
+            return model
+        if isinstance(model, HDClassifier):
+            return PackedModel.from_classifier(model)
+        raise TypeError(
+            f"cannot shard-deploy {type(model).__name__}; expected "
+            "HDClassifier or PackedModel"
+        )
+
+    def register(self, name: str, model: Model,
+                 min_dim: Optional[int] = None) -> Deployment:
+        """Deploy ``model`` on every shard (packed, one shared image)."""
+        packed = self._pack(model)
+        dep = self.registry.register(
+            name, packed, min_dim=min_dim, config=self.config.config,
+        )
+        self.executor.deploy(name, packed, dep.version)
+        self._set_version(name, dep.version)
+        return dep
+
+    def swap(self, name: str, model: Model,
+             dim_order: Optional[np.ndarray] = None,
+             drain: bool = True,
+             drain_timeout: Optional[float] = None) -> Deployment:
+        """Epoch-based hot swap: publish, flip every shard, then unlink.
+
+        The new image goes out as a *new* shared segment with a bumped
+        epoch.  Each shard's FIFO queue gets a swap message; a shard's
+        ack therefore certifies that every batch dispatched before the
+        swap has been answered.  With ``drain=True`` the call blocks
+        until all live shards ack (at most ``drain_timeout``, 10 s by
+        default) and only then unlinks the old segment -- zero dropped
+        requests by construction.  On an ack timeout the old segment is
+        kept (reclaimed at :meth:`stop`) rather than yanked from under a
+        slow shard, and ``swap_ack_timeouts`` counts it.
+
+        ``dim_order`` is unsupported here: packed class words bake the
+        dimension layout in (the registry enforces the same).
+        """
+        if dim_order is not None:
+            raise ValueError(
+                "sharded serving deploys packed models; dim_order "
+                "regeneration needs the thread server's classifier path"
+            )
+        packed = self._pack(model)
+        dep = self.registry.swap(name, packed, drain=False)
+        acked = self.executor.swap(
+            name, packed, dep.version, drain=drain,
+            timeout=SWAP_ACK_TIMEOUT if drain_timeout is None
+            else drain_timeout,
+        )
+        self.metrics.counter("model_swaps").inc()
+        self._set_version(name, dep.version)
+        if not acked:
+            self.metrics.counter("swap_ack_timeouts").inc()
+        return dep

@@ -27,11 +27,10 @@ Telemetry: ``stream_drift_score`` and ``stream_model_version`` gauges,
 hub, plus the ``stream.chunk`` / ``stream.retrain`` / ``stream.swap``
 trace spans emitted by the components.
 
-The loop drives any :class:`~repro.serve.surface.ServingSurface`
-backend: a :class:`~repro.serve.sharded.ShardedServer` works as a
-drop-in ``server`` (the protocol guarantees the ``registry`` /
-``swap(drain=...)`` / ``metrics`` / ``ladder`` / ``recorder`` surface
-the loop uses -- no more ``getattr`` probing).  Sharded deployments
+The loop drives any :class:`~repro.serve.server.Server`: a
+:class:`~repro.serve.sharded.ShardedServer` works as a drop-in
+``server`` (both share the ``registry`` / ``swap(drain=...)`` /
+``metrics`` / ``ladder`` / ``recorder`` surface the loop uses).  Sharded deployments
 are always bit-packed, so a retrain swap rides the epoch-based
 shared-memory protocol (publish new segment, all-shard ack, unlink
 old), and dimension regeneration -- which needs the classifier-kind
@@ -48,7 +47,7 @@ import numpy as np
 
 from repro.core.classifier import HDClassifier
 from repro.obs import trace as obs_trace
-from repro.serve.surface import ServingSurface
+from repro.serve.server import Server
 from repro.stream.drift import DriftConfig, DriftDetector
 from repro.stream.encoder import StreamingEncoder
 from repro.stream.regen import regenerate_deployment
@@ -104,8 +103,8 @@ class StreamLoop:
     Parameters
     ----------
     server:
-        A (started or not) :class:`~repro.serve.surface.ServingSurface`
-        backend -- :class:`InferenceServer` or
+        A (started or not) :class:`~repro.serve.server.Server` --
+        :class:`InferenceServer` or
         :class:`~repro.serve.sharded.ShardedServer`.  The loop registers
         ``clf`` under ``config.model_name`` if no such deployment
         exists (a sharded server packs it on registration).
@@ -114,7 +113,7 @@ class StreamLoop:
         Retrained versions rebind this reference on every swap.
     """
 
-    def __init__(self, server: "ServingSurface", clf: HDClassifier,
+    def __init__(self, server: Server, clf: HDClassifier,
                  config: Optional[StreamConfig] = None):
         clf._check_fitted()
         self.server = server

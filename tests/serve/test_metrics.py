@@ -1,17 +1,24 @@
-"""Unit tests for the serving metrics primitives."""
+"""Unit tests for the serving metrics: ``server.metrics`` and its instruments.
+
+A server's ``metrics`` is a :class:`repro.obs.registry.Registry` of its
+own (namespace ``serve``); the instruments are the obs ones, recorded
+into from several worker threads.  The shed policy's recent-p95 window
+is :class:`repro.serve.policy.SlidingWindow`.
+"""
 
 import json
 import threading
 
 import pytest
 
-from repro.serve.metrics import (
-    Counter,
-    Gauge,
-    LatencyHistogram,
-    MetricsHub,
-    SlidingWindow,
-)
+from repro.obs.registry import Counter, Gauge, Histogram
+from repro.serve import InferenceServer, ServeConfig
+from repro.serve.policy import SlidingWindow
+
+
+def _metrics():
+    """A fresh (never started) server's metric registry."""
+    return InferenceServer(ServeConfig(n_workers=1)).metrics
 
 
 class TestCounterGauge:
@@ -41,14 +48,16 @@ class TestCounterGauge:
 
 
 class TestLatencyHistogram:
+    """The log-bucketed histogram the server records latencies into."""
+
     def test_empty(self):
-        h = LatencyHistogram()
+        h = _metrics().histogram("total")
         assert h.count == 0
         assert h.percentile(95) == 0.0
         assert h.mean == 0.0
 
     def test_percentiles_bracket_samples(self):
-        h = LatencyHistogram()
+        h = Histogram()
         for ms in (1, 2, 3, 4, 100):
             h.record(ms / 1e3)
         # log buckets are approximate: p50 within one growth factor of 3 ms
@@ -59,16 +68,16 @@ class TestLatencyHistogram:
         assert h.mean == pytest.approx(0.022)
 
     def test_negative_clamped(self):
-        h = LatencyHistogram()
+        h = Histogram()
         h.record(-1.0)
         assert h.percentile(50) >= 0.0
 
     def test_bad_percentile_rejected(self):
         with pytest.raises(ValueError):
-            LatencyHistogram().percentile(101)
+            Histogram().percentile(101)
 
     def test_snapshot_keys(self):
-        h = LatencyHistogram()
+        h = Histogram()
         h.record(0.01)
         snap = h.snapshot()
         assert set(snap) == {"count", "mean_s", "p50_s", "p95_s", "p99_s",
@@ -98,14 +107,16 @@ class TestSlidingWindow:
 
 
 class TestMetricsHub:
+    """``server.metrics``: get-or-create by name, JSON snapshots."""
+
     def test_get_or_create_is_stable(self):
-        hub = MetricsHub()
+        hub = _metrics()
         assert hub.counter("a") is hub.counter("a")
         assert hub.gauge("g") is hub.gauge("g")
         assert hub.histogram("h") is hub.histogram("h")
 
     def test_snapshot_is_json_serializable(self):
-        hub = MetricsHub()
+        hub = _metrics()
         hub.counter("served").inc(3)
         hub.gauge("depth").set(2)
         hub.histogram("total").record(0.004)
@@ -119,10 +130,10 @@ class TestMetricsHub:
 class TestThreadHammerRegression:
     """8 writers hammering inc/record must lose nothing.
 
-    ``Counter.inc``/``Histogram.record`` are read-modify-writes; before
+    ``Counter.inc``/``Histogram.record`` are read-modify-writes; without
     the locked fast path, concurrent workers could drop counts.  Mirrors
-    the obs-layer hammer (the serve instruments ARE the obs instruments
-    since the registry unification) from the serving-facade side.
+    the obs-layer hammer from the server's side (label-less families
+    proxy ``inc``/``record`` to their one child).
     """
 
     N_THREADS = 8
@@ -148,13 +159,13 @@ class TestThreadHammerRegression:
         assert c.value == self.N_THREADS * self.N_OPS
 
     def test_histogram_hammer(self):
-        h = LatencyHistogram()
+        h = Histogram()
         self._run(lambda: [h.record(0.002) for _ in range(self.N_OPS)])
         assert h.count == self.N_THREADS * self.N_OPS
         assert h.sum == pytest.approx(self.N_THREADS * self.N_OPS * 0.002)
 
     def test_hub_instruments_hammer(self):
-        hub = MetricsHub()
+        hub = _metrics()
 
         def work():
             for _ in range(self.N_OPS):
@@ -170,19 +181,18 @@ class TestThreadHammerRegression:
 
 class TestHubRegistryIntegration:
     def test_private_registries_do_not_mix(self):
-        a, b = MetricsHub(), MetricsHub()
-        a.counter("served").inc(5)
-        assert b.snapshot()["counters"].get("served") is None
+        a, b = _metrics(), _metrics()
+        a.counter("rejected").inc(5)
+        assert b.snapshot()["counters"].get("rejected") is None
 
     def test_injected_registry_is_used(self):
-        from repro.obs.registry import Registry
-
-        reg = Registry(namespace="serve")
-        hub = MetricsHub(registry=reg)
-        hub.counter("served").inc(2)
-        assert reg.snapshot()["counters"]["served"] == 2
+        # the ladder writes its tier gauge into the server's registry
+        server = InferenceServer(ServeConfig(n_workers=1))
+        server.ladder.force_tier(2)
+        snap = server.metrics.snapshot()
+        assert snap["gauges"]["degradation_tier"]["value"] == 2
 
     def test_render_prometheus_namespaced(self):
-        hub = MetricsHub()
-        hub.counter("served").inc()
-        assert "serve_served 1" in hub.render_prometheus()
+        server = InferenceServer(ServeConfig(n_workers=1))
+        server.metrics.counter("rejected").inc()
+        assert "serve_rejected 1" in server.render_prometheus()

@@ -287,15 +287,15 @@ class TestChaosEndToEnd:
             futures = [server.submit("m", x) for x in serve_queries[:40]]
             ok, failures = _drain(futures)
             deadline = time.monotonic() + 5.0
-            while (server.workers.worker_restarts < chaos.injected_kills
+            while (server.worker_restarts < chaos.injected_kills
                    and time.monotonic() < deadline):
                 time.sleep(0.01)
-            restarts = server.workers.worker_restarts
+            restarts = server.worker_restarts
         assert not failures
         assert len(ok) == 40
         assert chaos.injected_kills == 4
         assert restarts >= chaos.injected_kills
-        assert not server.workers.running  # clean shutdown afterwards
+        assert not server.executor.running  # clean shutdown afterwards
 
     def test_no_hung_futures_after_stop(self, serve_classifier,
                                         serve_queries):
@@ -480,7 +480,7 @@ class TestDegradationLadder:
         ))
         server.register("m", serve_classifier)
         with server:
-            for b in server.workers.breakers:
+            for b in server.breakers:
                 b.force_open()
             deadline = time.monotonic() + 5.0
             while server.ladder.tier == 0 and time.monotonic() < deadline:

@@ -6,10 +6,12 @@ import asyncio
 import os
 import threading
 import time
+from concurrent.futures import wait
 
 import numpy as np
 import pytest
 
+from repro.serve import InferenceServer, ServeConfig
 from repro.serve.resilience import ChaosPolicy
 from repro.serve.sharded import ShardedServeConfig, ShardedServer, proto
 from repro.stream import StreamConfig, StreamLoop
@@ -100,43 +102,95 @@ class TestPartitionMode:
             server.start()
 
 
+def _lose_first_answer(server):
+    """Turn the first answering reply into a shard error; returns the log.
+
+    The first PREDICT, or the first SEARCH partial after a successful
+    ENCODE, is handled as an ``ERR`` instead, so its requests retry and
+    are encoded a second time.
+    """
+    executor = server.executor
+    handle_ok = executor._handle_ok
+    failed = []
+
+    def flaky(shard_id, seq, payload):
+        if payload[0] in (proto.PREDICT, proto.SEARCH) and not failed:
+            failed.append(seq)
+            executor._handle_error(shard_id, seq, {
+                "kind": "InjectedFault", "message": "reply lost",
+            })
+            return
+        handle_ok(shard_id, seq, payload)
+
+    executor._handle_ok = flaky
+    return failed
+
+
 @pytest.mark.parametrize("fail_first", [False, True],
                          ids=["no-fault", "failed-reply"])
-@pytest.mark.parametrize("mode", ["replica", "partition"])
+@pytest.mark.parametrize("mode", ["replica", "partition", "thread"])
 def test_per_shard_served_sums_to_server_served(mode, fail_first,
                                                 serve_classifier,
                                                 serve_queries):
-    # each request counts once, at the shard that answered it (in
-    # partition mode the one that encoded it; every shard searches it).
-    # With fail_first the first answering reply -- a PREDICT, or a
-    # SEARCH whose ENCODE already succeeded -- turns into a shard error,
-    # so its requests retry and are encoded a second time.
+    # each request counts once, at the slot that answered it (in
+    # partition mode the shard that encoded it; every shard searches
+    # it).  On the thread executor the faulty variant injects chaos
+    # faults and kills and gives some requests an already-spent
+    # deadline, so failed, retried and expired requests must not count.
+    if mode == "thread":
+        chaos = (ChaosPolicy(fault_rate=0.2, kill_rate=0.05, max_kills=2,
+                             seed=0) if fail_first else None)
+        server = InferenceServer(
+            ServeConfig(n_workers=2, max_batch=8, max_retries=4,
+                        retry_backoff=0.001), chaos=chaos)
+    else:
+        server = ShardedServer(_config(mode=mode, max_retries=4,
+                                       retry_backoff=0.01))
+    server.register("m", serve_classifier)
+    failed = (_lose_first_answer(server)
+              if fail_first and mode != "thread" else [])
+    n = 120 if mode == "thread" else 20
+    with server:
+        futures = [server.submit("m", serve_queries[i % len(serve_queries)],
+                                 deadline=(1e-6 if fail_first and i % 10 == 0
+                                           else 60.0))
+                   for i in range(n)]
+        done, _ = wait(futures, timeout=60.0)
+        assert len(done) == n
+        assert server.wait_idle(30.0)
+        per_shard = server.worker_utilization()["served"]
+        counters = server.stats()["counters"]
+    served = sum(f.exception() is None for f in futures)
+    assert served == counters["served"]
+    if fail_first:
+        assert counters.get("retries", 0) >= 1
+    else:
+        assert served == n
+    if mode != "thread":
+        assert len(failed) == int(fail_first)
+    elif fail_first:
+        assert chaos.injected_kills > 0 and chaos.injected_faults > 0
+    assert len(per_shard) == 2
+    assert sum(per_shard) == counters["served"]
+
+
+@pytest.mark.parametrize("mode", ["replica", "partition"])
+def test_failed_reply_leaves_no_router_load(mode, serve_classifier,
+                                            serve_queries):
+    # every SEARCH/ERR reply releases its shard's router load, including
+    # replies for a batch that an earlier error already failed
     server = ShardedServer(_config(mode=mode, max_retries=4,
                                    retry_backoff=0.01))
     server.register("m", serve_classifier)
-    failed = []
-    if fail_first:
-        handle_ok = server._handle_ok
-
-        def flaky(shard_id, seq, payload):
-            if payload[0] in (proto.PREDICT, proto.SEARCH) and not failed:
-                failed.append(seq)
-                server._handle_error(shard_id, seq, {
-                    "kind": "InjectedFault", "message": "reply lost",
-                })
-                return
-            handle_ok(shard_id, seq, payload)
-
-        server._handle_ok = flaky
+    failed = _lose_first_answer(server)
     with server:
-        preds = server.predict_many("m", serve_queries[:20], timeout=60.0)
-        per_shard = server.worker_utilization()["served"]
-        counters = server.stats()["counters"]
-    assert len(preds) == counters["served"] == 20
-    assert len(failed) == int(fail_first)
-    assert counters.get("retries", 0) >= int(fail_first)
-    assert len(per_shard) == 2
-    assert sum(per_shard) == counters["served"]
+        server.predict_many("m", serve_queries[:20], timeout=60.0)
+        assert server.wait_idle(30.0)
+        deadline = time.monotonic() + 10.0
+        while server.router.loads() != [0, 0] and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert failed
+        assert server.router.loads() == [0, 0]
 
 
 class TestHotSwap:

@@ -1,31 +1,35 @@
-"""ServingSurface conformance: both backends, one contract.
+"""Serving-core conformance: both executors, one contract.
 
-The shared schema test the ISSUE asked for: the threaded
-:class:`InferenceServer` and the process-sharded :class:`ShardedServer`
-must satisfy the :class:`~repro.serve.surface.ServingSurface` protocol
-structurally *and* emit :func:`~repro.serve.surface.validate_stats`-clean
-``stats()`` snapshots with identical required top-level keys, so
-consumers (stream loop, benches, fleet aggregator) can treat them
-interchangeably.
+The threaded :class:`InferenceServer` and the process-sharded
+:class:`ShardedServer` are the same :class:`~repro.serve.server.Server`
+over different executors.  Both must emit
+:func:`~repro.serve.server.validate_stats`-clean ``stats()`` snapshots
+with identical required top-level keys, and keep the counters of
+admitted requests reconciled, so consumers (stream loop, benches, fleet
+aggregator) can treat them interchangeably.
 """
 
 from __future__ import annotations
 
+import collections
 import os
+import threading
+from concurrent.futures import wait
 
 import numpy as np
 import pytest
 
 from repro.serve import (
     STATS_OPTIONAL_KEYS,
+    ChaosPolicy,
     STATS_REQUIRED_KEYS,
+    Executor,
     InferenceServer,
     ServeConfig,
-    ServingSurface,
+    Server,
     validate_stats,
 )
 from repro.serve.sharded import ShardedServeConfig, ShardedServer
-from repro.serve.surface import ServingSurfaceBase
 
 needs_shm = pytest.mark.skipif(
     not os.path.isdir("/dev/shm"),
@@ -56,16 +60,17 @@ def sharded_server(serve_classifier):
 class TestProtocol:
     def test_both_backends_satisfy_the_protocol(self, thread_server,
                                                 sharded_server):
-        assert isinstance(thread_server, ServingSurface)
-        assert isinstance(sharded_server, ServingSurface)
+        # each executor implements the calls the core cannot default
+        for server in (thread_server, sharded_server):
+            executor = type(server.executor)
+            assert issubclass(executor, Executor)
+            for name in ("start", "stop", "busy_seconds"):
+                assert getattr(executor, name) is not getattr(Executor, name)
 
     def test_both_backends_share_the_base(self, thread_server,
                                           sharded_server):
-        assert isinstance(thread_server, ServingSurfaceBase)
-        assert isinstance(sharded_server, ServingSurfaceBase)
-
-    def test_a_random_object_does_not(self):
-        assert not isinstance(object(), ServingSurface)
+        assert isinstance(thread_server, Server)
+        assert isinstance(sharded_server, Server)
 
 
 class TestStatsSchema:
@@ -116,11 +121,9 @@ class TestStatsSchema:
             validate_stats(bad)
 
     def test_illegal_extra_stats_fail_fast(self, serve_classifier):
-        class Rogue(InferenceServer):
-            def _extra_stats(self):
-                return {"not_in_schema": 1}
-
-        rogue = Rogue(ServeConfig(n_workers=1))
+        rogue = InferenceServer(ServeConfig(n_workers=1))
+        rogue.executor.annotate_stats = (
+            lambda snap: snap.update(not_in_schema=1))
         rogue.register("m", serve_classifier)
         with pytest.raises(RuntimeError, match="outside the stats schema"):
             rogue.stats()
@@ -179,3 +182,56 @@ class TestUtilization:
         util = sharded_server.worker_utilization()
         assert set(util) >= {"busy_seconds", "served"}
         assert len(util["busy_seconds"]) == 2  # one entry per shard
+
+
+@pytest.mark.parametrize("executor", ["thread", "process"])
+def test_counters_reconcile_under_chaos(executor, serve_classifier,
+                                        serve_queries):
+    """Every admitted request ends exactly once: served, failed or expired.
+
+    Chaos faults, kills and already-spent deadlines exercise the retry,
+    failure and expiry paths of either executor; afterwards
+    ``submitted == served + errors + deadline_expired`` and every future
+    resolved exactly once.
+    """
+    if executor == "process" and not os.path.isdir("/dev/shm"):
+        pytest.skip("POSIX shared memory not available")
+    chaos = ChaosPolicy(fault_rate=0.2, kill_rate=0.02, max_kills=2, seed=21)
+    knobs = dict(max_batch=8, max_retries=2, retry_backoff=0.001,
+                 max_shed_level=0)
+    if executor == "thread":
+        server = InferenceServer(ServeConfig(n_workers=2, **knobs),
+                                 chaos=chaos)
+    else:
+        server = ShardedServer(ShardedServeConfig(n_shards=2, **knobs),
+                               chaos=chaos)
+    server.register("m", serve_classifier)
+    n = 300
+    resolutions = collections.Counter()
+    lock = threading.Lock()
+
+    def count(i):
+        def done(_):
+            with lock:
+                resolutions[i] += 1
+        return done
+
+    with server:
+        futures = []
+        for i in range(n):
+            fut = server.submit("m", serve_queries[i % len(serve_queries)],
+                                deadline=1e-6 if i % 25 == 0 else 60.0)
+            fut.add_done_callback(count(i))
+            futures.append(fut)
+        done, _ = wait(futures, timeout=120.0)
+        assert server.wait_idle(30.0)
+        counters = server.stats()["counters"]
+    assert len(done) == n
+    assert counters["submitted"] == n
+    assert counters["submitted"] == (counters.get("served", 0)
+                                     + counters.get("errors", 0)
+                                     + counters.get("deadline_expired", 0))
+    assert counters.get("deadline_expired", 0) >= n // 25
+    assert sorted(resolutions.values()) == [1] * n
+    assert chaos.injected_faults > 0
+    assert chaos.injected_kills > 0
