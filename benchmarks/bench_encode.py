@@ -19,7 +19,11 @@ ladder's ``approx`` tier.  A top-level ``readout`` profile times the
 query path's packed sign read-out (``encode_signs_packed``, a
 comparator on the carry-save bit planes) against the counts read-out
 it replaced (``encode_batch`` -> sign -> ``pack_bits``) at batch 1 and
-32 on the served shape (256 features, window 3, D = 2048 and 8192).
+32 on the served shape (256 features, window 3, D = 2048 and 8192),
+records the window block each batch folds (the planner sizes it per
+call from the rows in the call), and at batch 32 measures two threads
+reading out concurrently against one thread doing the same calls --
+reported, not gated, since it depends on the host's cores.
 
 Usage::
 
@@ -45,9 +49,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import resource
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -85,6 +91,9 @@ PLANNER_GATE_MIN_DIM = 4096
 READOUT_DIMS = (2048, 8192)
 READOUT_BATCHES = (1, 32)
 READOUT_FEATURES = 256
+#: the batch whose two-thread read-out ratio is measured (the serving
+#: batch); reported only -- a 2-core host cannot gate thread scaling
+THREAD_BATCH = 32
 
 ENCODER_CLASSES = {"generic": GenericEncoder, "ngram": NgramEncoder}
 
@@ -136,7 +145,7 @@ def _planner_profile(encoder, X, packed_out, repeats):
     return {
         "backend": plan.backend_name,
         "fuse_pairs": bool(plan.fuse_pairs),
-        "window_block": int(plan.window_block),
+        "window_block": int(plan.window_block_for(plan.chunk_samples)),
         "chunk_samples": int(plan.chunk_samples),
         "planned_seconds": round(planned_seconds, 6),
         "monolith_seconds": round(mono_seconds, 6),
@@ -275,6 +284,33 @@ def _seconds_per_call(fn, inner: int) -> float:
     return (time.perf_counter() - t0) / inner
 
 
+def _two_thread_ratio(fn, calls: int, rounds: int) -> float:
+    """Throughput of two threads running ``fn`` over one thread's.
+
+    One thread makes ``2 * calls`` calls; then two threads make
+    ``calls`` each, started together.  Best time of ``rounds`` each.
+    """
+    t_one = t_two = float("inf")
+    for _ in range(rounds):
+        t_one = min(t_one, _seconds_per_call(fn, 2 * calls) * 2 * calls)
+        barrier = threading.Barrier(3)
+
+        def worker():
+            barrier.wait()
+            for _ in range(calls):
+                fn()
+
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for t in threads:
+            t.start()
+        barrier.wait()
+        t0 = time.perf_counter()
+        for t in threads:
+            t.join()
+        t_two = min(t_two, time.perf_counter() - t0)
+    return t_one / t_two
+
+
 def run_readout_profile(repeats: int = 3, seed: int = 13):
     """Packed sign read-out vs. counts + sign + pack, per query batch.
 
@@ -304,21 +340,31 @@ def run_readout_profile(repeats: int = 3, seed: int = 13):
             for _ in range(5 * repeats):
                 t_packed = min(t_packed, _seconds_per_call(packed, inner))
                 t_counts = min(t_counts, _seconds_per_call(via_counts, inner))
-            points.append({
+            plan = enc.encode_plan()
+            point = {
                 "dim": dim,
                 "batch": batch,
                 "n_features": READOUT_FEATURES,
                 "window": 3,
+                "window_block": int(plan.window_block_for(batch)),
+                "folds": int(plan.folds),
                 "packed_ms": round(t_packed * 1e3, 4),
                 "counts_sign_pack_ms": round(t_counts * 1e3, 4),
                 "speedup": round(t_counts / t_packed, 2),
                 "identical": identical,
-            })
+            }
+            if batch == THREAD_BATCH:
+                point["two_thread_ratio"] = round(
+                    _two_thread_ratio(packed, 8, repeats), 2)
+            points.append(point)
             print(
                 f"readout  dim={dim:5d} batch={batch:3d}  "
+                f"block {point['window_block']:3d}/{plan.folds}  "
                 f"packed {t_packed * 1e3:7.3f} ms  "
                 f"counts+sign+pack {t_counts * 1e3:7.3f} ms  "
                 f"speedup {t_counts / t_packed:5.2f}x  identical={identical}"
+                + (f"  2 threads {point['two_thread_ratio']:.2f}x"
+                   if "two_thread_ratio" in point else "")
             )
     return points
 
@@ -359,6 +405,7 @@ def main(argv=None) -> int:
         "profile": "quick" if args.quick else "full",
         "numpy": np.__version__,
         "numba_backend": _numba_available(),
+        "cpus": os.cpu_count(),
         "ru_maxrss_mb": round(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
         ),

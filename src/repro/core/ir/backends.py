@@ -126,8 +126,8 @@ def _window_indices(plan, n_windows: int):
     return sel
 
 
-def _window_blocks(plan, n_windows: int):
-    """Yield ``(idx, count)`` window blocks for one encode pass.
+def _window_blocks(plan, n_windows: int, rows: int):
+    """Yield ``(idx, count)`` window blocks for one encode pass on ``rows``.
 
     Exact plans (``window_sel is None``) yield :class:`slice` objects so
     every downstream gather stays a basic-indexing *view* of ``bins_t``
@@ -136,7 +136,7 @@ def _window_blocks(plan, n_windows: int):
     trailing the fused monolith at small ``dim``.  Approximate plans
     yield the selected index vector in array form.
     """
-    block = max(1, plan.window_block)
+    block = plan.window_block_for(rows)
     if plan.window_sel is None:
         for b0 in range(0, n_windows, block):
             hi = min(b0 + block, n_windows)
@@ -211,7 +211,7 @@ class NumpyReferenceBackend(Backend):
         n_win = bins.shape[1] - window + 1
         _window_indices(plan, n_win)  # validates window_sel bounds
         out = np.zeros((len(bins), plan.ctx.dim), dtype=np.int32)
-        for idx, _ in _window_blocks(plan, n_win):
+        for idx, _ in _window_blocks(plan, n_win, len(bins)):
             prod = self.xor_fold(levels, bins, idx, window)
             if ids is not None:
                 prod = prod * ids[idx][None, :, :]
@@ -295,8 +295,11 @@ class PackedUint64Backend(Backend):
 
         ``planes`` are the bit-sliced counts of set bits over the ``k``
         folded windows, shape ``(N, words)`` each, least significant
-        first.  Window blocks (large-``dim`` plans) ripple-add their
-        planes, so both read-outs see one bit-sliced count.
+        first.  The call folds :meth:`~repro.core.ir.planner.KernelPlan.
+        window_block_for` windows per block -- as many as keep its fold
+        slab inside the planner's slab budget for these ``N`` rows --
+        and the blocks ripple-add their planes, so both read-outs see
+        one bit-sliced count.
         """
         from repro.core.kernels import add_planes
 
@@ -310,7 +313,7 @@ class PackedUint64Backend(Backend):
         # every gather/XOR below runs on contiguous (N, W) slabs
         bins_t = np.ascontiguousarray(bins.T)
         planes: Optional[list] = None
-        for idx, _ in _window_blocks(plan, n_win):
+        for idx, _ in _window_blocks(plan, n_win, len(bins)):
             fold = self.xor_fold(kernel, bins_t, idx,
                                  fuse_pairs=plan.fuse_pairs)
             block = self.bundle(fold)

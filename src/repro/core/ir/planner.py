@@ -11,10 +11,16 @@ approximation level -- the :class:`KernelPlanner` decides
   ``rho^j(levels) ^ rho^{j+1}(levels)`` fit the cache budget, adjacent
   in-window offsets fuse too -- halving the gather+XOR passes over the
   fold slab;
-- **chunking**: how many samples per encode chunk and how many windows
-  per fold block, chosen so the fold working set stays inside the
-  slab budget instead of collapsing the sample chunk at large ``dim``
-  (the PR 2 behaviour this planner replaces);
+- **chunking**: how many samples per encode chunk, and -- on the
+  packed path -- how many windows each call folds per block.  Both
+  come from one fold-slab byte budget, :data:`SLAB`: a chunk holds as
+  many rows as keep its count rows inside the slab, and each call
+  folds as many windows per block as keep *its own* ``(windows, rows,
+  words)`` uint64 fold slab inside it
+  (:meth:`KernelPlan.window_block_for`).  The block is a property of
+  the rows in the call, not of the shape: a 128-row training chunk at
+  ``D=8192`` folds 64-window blocks, a serving batch of <= 32 rows
+  folds all 254 windows in one block;
 - **approximation**: SHEARer-style multifold sampling -- fold only
   ``approx_folds`` evenly spaced windows, with the exact-vs-approx
   error bound surfaced on the plan.
@@ -61,17 +67,21 @@ __all__ = [
     "select_windows",
 ]
 
-#: total bytes of encode intermediates per chunk (matches the historic
-#: ``Encoder`` budget, now owned by the planner)
+#: total bytes of encode intermediates per chunk on the bipolar and
+#: JIT backends (matches the historic ``Encoder`` budget)
 CHUNK_BUDGET = 64 * 1024 * 1024
-#: fold slab budget once window blocking engages (fold + gather temp)
-FOLD_SLAB_BUDGET = 32 * 1024 * 1024
-#: below this many samples per chunk the planner starts window blocking
-#: instead of shrinking the chunk further (gathers degrade on tiny rows)
-MIN_CHUNK_SAMPLES = 64
-#: never fold fewer windows than this per block (the int32 bundle
-#: accumulate is amortized across the block)
-MIN_WINDOW_BLOCK = 128
+#: fold-slab byte budget of the packed path.  A chunk holds
+#: ``SLAB // (8 * dim)`` rows (its int32 ones + count rows fit the
+#: slab) and one call on ``rows`` samples folds
+#: ``SLAB // (rows * words * 8)`` windows per block.  8 MiB is a few
+#: L2s: on a 2-vCPU Xeon (2 MiB L2 per core) at D=8192 it took encoding
+#: 2080 training rows from 1.0-1.1 s (114-row chunks, one ~30 MB slab
+#: each) to 0.54-0.67 s (128-row chunks, 64-window blocks), while
+#: serving batches of <= 32 rows keep one block.  A fixed 32-window
+#: block lost ~19% serving throughput in a prototype on that host:
+#: eight small blocks plus their ripple-adds per batch made the
+#: two-thread encode GIL-bound.
+SLAB = 8 * 1024 * 1024
 #: fused pair tables must fit this budget (L^2 x words x 8 per pair)
 PAIR_TABLE_BUDGET = 16 * 1024 * 1024
 #: below this many words per vector, pair fusion loses: the unfused
@@ -79,6 +89,10 @@ PAIR_TABLE_BUDGET = 16 * 1024 * 1024
 #: the pair table's random-access working set (measured on the bench
 #: grid: 0.73x at D=1024, 1.6x+ at D>=4096)
 PAIR_FUSION_MIN_WORDS = 32
+
+
+#: backends that fold every window of a call in one block
+_UNBLOCKED_BACKENDS = ("numpy-reference", "numba-jit")
 
 
 def select_windows(n_windows: int, folds: Optional[int]) -> Optional[np.ndarray]:
@@ -141,6 +155,8 @@ class KernelPlan:
     backend_name: str
     steps: Tuple[Primitive, ...]
     window_sel: Optional[np.ndarray]
+    #: the most windows one block may fold; the packed backend folds
+    #: :meth:`window_block_for` (rows in the call) windows per block
     window_block: int
     fuse_pairs: bool
     bytes_per_sample: int
@@ -173,6 +189,23 @@ class KernelPlan:
     def folds(self) -> int:
         return self.ctx.active_folds
 
+    def window_block_for(self, rows: int) -> int:
+        """Windows folded per block in a call on ``rows`` samples.
+
+        Packed plans fold as many windows as keep the call's uint64
+        fold slab (``rows x words x 8`` bytes per window) inside
+        :data:`SLAB`, at most :attr:`window_block`, spread evenly over
+        the blocks that takes (254 windows under a 72-window limit fold
+        64+64+64+62, not 72+72+72+38).  The bipolar and JIT backends
+        fold :attr:`window_block` windows per block.
+        """
+        if self.backend_name in _UNBLOCKED_BACKENDS:
+            return self.window_block
+        fit = SLAB // max(1, rows * self.ctx.words * 8)
+        limit = max(1, min(self.window_block, fit))
+        n_blocks = -(-self.folds // limit)
+        return -(-self.folds // n_blocks)
+
     def op_counts(self, n_samples: int = 1) -> Dict[str, Dict[str, int]]:
         """Per-primitive op metadata for ``n_samples`` inputs."""
         out: Dict[str, Dict[str, int]] = {}
@@ -196,6 +229,7 @@ class KernelPlan:
         """Human-readable rendering of every planner decision."""
         ctx = self.ctx
         n_win = ctx.n_windows
+        block = self.window_block_for(self.chunk_samples)
         lines = [
             f"KernelPlan[{self.backend_name}]",
             f"  shape    : n_features={ctx.n_features} window={ctx.window} "
@@ -212,8 +246,8 @@ class KernelPlan:
             + ("ON (adjacent offsets fused)" if self.fuse_pairs else "off"),
             f"  chunking : {self.chunk_samples} samples/chunk "
             f"({self.bytes_per_sample} B/sample), window block "
-            + (f"{self.window_block}" if self.window_block < self.folds
-               else f"{self.folds} (single block)"),
+            + (f"{block} at a full chunk (sized per call)"
+               if block < self.folds else f"{self.folds} (single block)"),
         ]
         if self.error_bound is not None:
             eb = self.error_bound
@@ -289,6 +323,7 @@ class KernelPlanner:
         )
         words = ctx.words
 
+        chunk_samples = None
         if backend_name == "numpy-reference":
             fuse_pairs = False
             window_block = folds
@@ -310,24 +345,22 @@ class KernelPlanner:
                 and words >= PAIR_FUSION_MIN_WORDS
                 and n_pairs * pair_bytes <= PAIR_TABLE_BUDGET
             )
-            # fold slab + gather temp per (sample, window), plus the
-            # int32 bundle/out rows
-            per_window = 2 * words * 8
+            # the uint64 words one row adds to the fold slab per window,
+            # and its int32 ones + count rows
+            window_bytes = words * 8
             row_bytes = 8 * request.dim
-            window_block = folds
-            chunk = (CHUNK_BUDGET - 1) // max(1, folds * per_window + row_bytes)
-            if chunk < MIN_CHUNK_SAMPLES and folds > MIN_WINDOW_BLOCK:
-                # large-D regime: block the window axis so the sample
-                # chunk stays gather-friendly while the fold slab fits
-                # the slab budget
-                window_block = max(
-                    MIN_WINDOW_BLOCK,
-                    FOLD_SLAB_BUDGET // (MIN_CHUNK_SAMPLES * per_window),
-                )
-                window_block = min(window_block, folds)
-            bytes_per_sample = window_block * per_window + row_bytes
+            # a cap only when one row's fold of every window overflows
+            # the slab; calls block by their rows (window_block_for)
+            window_block = max(1, min(folds, SLAB // window_bytes))
+            chunk_samples = max(1, SLAB // row_bytes)
+            full_block = max(1, min(window_block,
+                                    SLAB // (chunk_samples * window_bytes)))
+            # fold slab + gather temp per (sample, window) at a full
+            # chunk, plus the count rows
+            bytes_per_sample = 2 * full_block * window_bytes + row_bytes
 
-        chunk_samples = max(1, CHUNK_BUDGET // max(1, bytes_per_sample))
+        if chunk_samples is None:
+            chunk_samples = max(1, CHUNK_BUDGET // max(1, bytes_per_sample))
 
         error_bound = None
         if sel is not None:

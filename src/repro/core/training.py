@@ -18,10 +18,15 @@ from two caches instead:
   ``O(n + dim)`` instead of two full ``O(dim)`` norm recomputes plus an
   ``O(n_classes · dim)`` matvec per subsequent score.
 
-``K`` itself is memory-gated: when it fits the budget it is built once
-with one BLAS GEMM (in float32 when the values provably stay exact --
-see below); otherwise columns are computed on demand and cached while
-the budget lasts.
+``K`` is built by use.  Columns are computed on demand (one GEMV each,
+cached); the whole matrix is built with one BLAS GEMM (in float32 when
+the values provably stay exact -- see below), and the remaining columns
+read from it, only when ``K`` fits the memory budget and the fit needs
+more distinct columns than the GEMM costs.  The need is forecast before
+the first update -- the initial model's mispredictions are the first
+epoch's updates to within a few -- and re-checked as columns are used.
+A nearly converged fit touches a handful of columns and never pays the
+GEMM; a noisy one builds ``K`` for its first update.
 
 **Why the gram engine is result-identical, not just close.**  Encoded
 hypervectors are integer-valued (window-folded XOR sums), so the model,
@@ -71,6 +76,19 @@ _EXACT_LIMIT_F32 = 2.0**24
 
 _EPOCH_CHUNK = 16384  # samples per epoch-end accuracy chunk
 
+#: one ``K = E·Eᵀ`` GEMM costs as much as ``n / _GEMM_GAIN`` single-
+#: column GEMVs: the break-even in distinct columns past which
+#: :class:`_ColumnProvider` builds ``K``.  Measured at n=2080, D=8192 on
+#: a 2-vCPU Xeon (OpenBLAS): the float32 GEMM (with its cast) took
+#: 0.25 s and the float64 one 0.38 s, a float64 ``E @ E[i]`` 6.7 ms --
+#: a break-even of 37-56 columns, ~40 at that n.
+_GEMM_GAIN = 50
+
+#: rows of ``|E|`` reduced per block by :func:`_bound_stats` (a 4 MiB
+#: temporary at D=8192; 32-256 rows all took ~0.04 s at 2080x8192,
+#: where one whole ``np.abs`` copy took 0.11 s and 136 MB)
+_BOUND_ROWS = 64
+
 #: samples per vectorized scan block in the gram engine.  The scan
 #: scores a whole block from the cache and jumps to the first
 #: misprediction, so converged epochs cost a handful of NumPy calls per
@@ -90,6 +108,10 @@ class TrainReport:
     #: wall-clock seconds spent inside the retraining engine (set by
     #: :func:`retrain`; excludes encoding and model initialization)
     seconds: Optional[float] = None
+    #: gram engine only: distinct Gram columns computed one GEMV at a
+    #: time, and whether the whole ``K`` was built with the GEMM
+    gram_columns: Optional[int] = None
+    gram_kernel_built: Optional[bool] = None
 
     @property
     def final_train_accuracy(self) -> float:
@@ -104,7 +126,8 @@ class TrainPlan:
     engine: str             # "reference" | "gram"
     rule: str               # "paper" | "adaptive"
     exact: bool             # gram proven bit-identical to reference
-    kernel: str             # "precomputed" | "columns" | "none"
+    kernel: str             # "precomputed" (K fits: built past the
+                            # break-even) | "columns" | "none"
     kernel_dtype: str       # "float32" | "float64" | "-"
     cache_bytes: int        # planned gram-cache footprint
     budget_bytes: int
@@ -121,16 +144,24 @@ class TrainPlan:
 
 
 def _bound_stats(encodings: np.ndarray):
-    """Per-column L1 / max-abs bounds, without materializing ``|E|``.
+    """Per-column L1 / max-abs bounds, reduced in row blocks.
 
-    Encodings are typically non-negative (XOR-popcount counts), in which
-    case three allocation-free reduction passes suffice; mixed-sign data
-    falls back to one ``np.abs`` temporary.
+    ``|E|`` is never materialized whole: each block of
+    :data:`_BOUND_ROWS` rows goes through one small ``np.abs`` buffer.
+    Float64 sums of integers below 2**53 are exact in any order, so for
+    integer encodings the blocked ``col_l1`` is bit-equal to
+    ``np.abs(E).sum(axis=0)``; ``col_max`` is a max and order-free.
     """
-    if float(encodings.min()) >= 0.0:
-        return encodings.sum(axis=0), encodings.max(axis=0)
-    abs_e = np.abs(encodings)
-    return abs_e.sum(axis=0), abs_e.max(axis=0)
+    n, d = encodings.shape
+    col_l1 = np.zeros(d)
+    col_max = np.zeros(d)
+    buf = np.empty((min(n, _BOUND_ROWS), d))
+    for start in range(0, n, _BOUND_ROWS):
+        block = np.abs(encodings[start:start + _BOUND_ROWS],
+                       out=buf[:min(_BOUND_ROWS, n - start)])
+        col_l1 += block.sum(axis=0)
+        np.maximum(col_max, block.max(axis=0), out=col_max)
+    return col_l1, col_max
 
 
 def _paper_rule_exact(
@@ -227,37 +258,62 @@ def plan_retraining(
 
 
 class _ColumnProvider:
-    """Columns of the Gram matrix ``K = E @ E.T``, per the plan.
+    """Columns of the Gram matrix ``K = E @ E.T``, computed by use.
 
-    ``precomputed`` builds K with one GEMM (float32 when exact);
-    ``columns`` computes ``E @ E[i]`` on first use and caches the result
-    while the remaining memory budget allows.
+    A column is one GEMV, ``E @ E[i]``, cached while the budget lasts.
+    When the plan's ``K`` fits the budget (``precomputed``), the
+    provider builds it with one GEMM (float32 when exact) and serves
+    every later column from it, as soon as the need passes the
+    break-even of ``n / _GEMM_GAIN`` distinct columns: at the first
+    column when ``forecast`` (the columns the fit is expected to ask
+    for) already does, else once that many distinct columns were
+    computed.  Both paths yield the same exact integer dots.
     """
 
-    def __init__(self, encodings: np.ndarray, plan: TrainPlan):
+    def __init__(self, encodings: np.ndarray, plan: TrainPlan,
+                 forecast: int = 0):
         self._E = encodings
         n = len(encodings)
+        self._f32 = plan.kernel_dtype == "float32"
         self.kernel: Optional[np.ndarray] = None
         self._cache: Dict[int, np.ndarray] = {}
-        self._capacity = 0
         if plan.kernel == "precomputed":
-            e = encodings
-            if plan.kernel_dtype == "float32":
-                e = encodings.astype(np.float32)
-            self.kernel = e @ e.T
+            break_even = n // _GEMM_GAIN
+            self._build_after = 0 if forecast > break_even else break_even
+            self._capacity = self._build_after
         else:
+            self._build_after = None
             spare = plan.budget_bytes - plan.cache_bytes
             self._capacity = max(0, spare // (n * 8)) if n else 0
+        self._seen: set = set()
+
+    @property
+    def computed(self) -> int:
+        """Distinct columns computed one GEMV at a time."""
+        return len(self._seen)
 
     def column(self, i: int) -> np.ndarray:
         if self.kernel is not None:
             return self.kernel[i]
         col = self._cache.get(i)
         if col is None:
+            if (self._build_after is not None
+                    and len(self._seen) >= self._build_after):
+                e = self._E.astype(np.float32) if self._f32 else self._E
+                self.kernel = e @ e.T
+                self._cache.clear()
+                return self.kernel[i]
             col = self._E @ self._E[i]
+            self._seen.add(i)
             if len(self._cache) < self._capacity:
                 self._cache[i] = col
         return col
+
+    def record(self, report: "TrainReport") -> "TrainReport":
+        """Note the column policy's outcome on ``report``."""
+        report.gram_columns = self.computed
+        report.gram_kernel_built = self.kernel is not None
+        return report
 
 
 def _gram_scores_block(block: np.ndarray, safe: np.ndarray,
@@ -276,18 +332,17 @@ def _gram_scores_block(block: np.ndarray, safe: np.ndarray,
     raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
 
 
-def _gram_epoch_accuracy(gt: np.ndarray, safe: np.ndarray,
-                         sqrt_safe: np.ndarray, metric: str,
-                         y_idx: np.ndarray) -> float:
-    """Chunked epoch-end training accuracy straight from the dot cache."""
+def _gram_errors(gt: np.ndarray, safe: np.ndarray, sqrt_safe: np.ndarray,
+                 metric: str, y_idx: np.ndarray) -> int:
+    """Chunked count of mispredicted samples straight from the dot cache."""
     n = gt.shape[1]
-    correct = 0
+    wrong = 0
     for start in range(0, n, _EPOCH_CHUNK):
         stop = min(start + _EPOCH_CHUNK, n)
         scores = _gram_scores_block(gt[:, start:stop], safe, sqrt_safe, metric)
         preds = np.argmax(scores, axis=0)
-        correct += int(np.count_nonzero(preds == y_idx[start:stop]))
-    return correct / n
+        wrong += int(np.count_nonzero(preds != y_idx[start:stop]))
+    return wrong
 
 
 def _chunked_epoch_accuracy(clf, encodings: np.ndarray,
@@ -460,10 +515,15 @@ def _retrain_gram_paper(clf, encodings: np.ndarray, y_idx: np.ndarray,
     metric = clf.metric
     gt = model @ encodings.T                      # exact integer dots
     h2 = np.einsum("ij,ij->i", encodings, encodings)
-    columns = _ColumnProvider(encodings, plan)
     norm2 = clf.norms_.full_norm2()
     safe = np.where(norm2 <= 0.0, np.inf, norm2)
     sqrt_safe = np.sqrt(safe)
+    # each of the initial model's mispredictions is (to within a few) a
+    # first-epoch update, and each update asks for one column
+    columns = _ColumnProvider(
+        encodings, plan,
+        forecast=_gram_errors(gt, safe, sqrt_safe, metric, y_idx),
+    )
 
     updates_per_epoch: List[int] = []
     acc_per_epoch: List[float] = []
@@ -513,17 +573,17 @@ def _retrain_gram_paper(clf, encodings: np.ndarray, y_idx: np.ndarray,
                 updates += 1
         updates_per_epoch.append(updates)
         acc_per_epoch.append(
-            _gram_epoch_accuracy(gt, safe, sqrt_safe, metric, y_idx)
+            (n - _gram_errors(gt, safe, sqrt_safe, metric, y_idx)) / n
         )
         tracer.mark(updates, acc_per_epoch[-1])
         if updates == 0:
             break
     clf.norms_.recompute(model)
-    return TrainReport(
+    return columns.record(TrainReport(
         epochs_run=len(updates_per_epoch),
         updates_per_epoch=updates_per_epoch,
         train_accuracy_per_epoch=acc_per_epoch,
-    )
+    ))
 
 
 def _retrain_gram_adaptive(clf, encodings: np.ndarray, y_idx: np.ndarray,
@@ -588,17 +648,17 @@ def _retrain_gram_adaptive(clf, encodings: np.ndarray, y_idx: np.ndarray,
         sqrt_safe = np.sqrt(safe)
         updates_per_epoch.append(updates)
         acc_per_epoch.append(
-            _gram_epoch_accuracy(gt, safe, sqrt_safe, metric, y_idx)
+            (n - _gram_errors(gt, safe, sqrt_safe, metric, y_idx)) / n
         )
         tracer.mark(updates, acc_per_epoch[-1])
         if updates == 0 and not clf.update_on_correct:
             break
     clf.norms_.recompute(model)
-    return TrainReport(
+    return columns.record(TrainReport(
         epochs_run=len(updates_per_epoch),
         updates_per_epoch=updates_per_epoch,
         train_accuracy_per_epoch=acc_per_epoch,
-    )
+    ))
 
 
 # -- entry point ------------------------------------------------------------
@@ -645,6 +705,9 @@ def retrain(clf, encodings: np.ndarray, y_idx: np.ndarray) -> TrainReport:
             total_updates = int(sum(report.updates_per_epoch))
             score_macs = report.epochs_run * n * n_classes * dim
             sp.set(epochs_run=report.epochs_run, updates=total_updates)
+            if plan.engine == "gram":
+                sp.set(gram_columns=report.gram_columns,
+                       gram_kernel_built=report.gram_kernel_built)
             sp.add_ops(
                 mul_ops=score_macs,
                 add_ops=score_macs + total_updates * 4 * dim,

@@ -397,12 +397,13 @@ class TestSignReadout:
         assert not (enc.encode_signs_packed(X)[:, -1] >> np.uint64(36)).any()
 
     def test_planner_window_blocking(self):
-        # a shape where the planner itself blocks the window axis
-        X = np.random.default_rng(5).normal(size=(2, 402))
+        # a call whose rows make the planner block the window axis: 24
+        # rows x 400 windows x 166 words overflow the fold slab
+        X = np.random.default_rng(5).normal(size=(24, 402))
         enc = GenericEncoder(dim=10563, num_levels=4, seed=5,
                              engine="packed").fit(X)
         plan = enc.encode_plan()
-        assert plan.window_block < plan.folds
+        assert plan.window_block_for(len(X)) < plan.folds
         np.testing.assert_array_equal(
             enc.encode_signs_packed(X), _signs_of(enc.encode_batch(X))
         )
@@ -429,3 +430,60 @@ class TestSignReadout:
         ]
         assert counts_span["attrs"] == signs_span["attrs"]
         assert counts_span["ops"] == signs_span["ops"]
+
+
+class TestPerCallWindowBlocks:
+    """Window blocks sized by the rows in each call stay bit-identical."""
+
+    DIM = 200  # not a multiple of 64: the sign words carry padding bits
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return np.random.default_rng(21).normal(size=(2080, 256))
+
+    @pytest.fixture(scope="class", params=[None, 100])
+    def encoders(self, request, data):
+        mk = lambda engine: GenericEncoder(
+            dim=self.DIM, num_levels=16, seed=21, engine=engine,
+            approx_folds=request.param,
+        ).fit(data)
+        ref = mk("reference")
+        return mk("packed"), ref.encode_batch(data)
+
+    @staticmethod
+    def _boundary(plan) -> int:
+        """Fewest rows whose call folds the windows in more than one block."""
+        from repro.core.ir.planner import SLAB
+
+        rows = SLAB // (plan.folds * plan.ctx.words * 8) + 1
+        assert plan.window_block_for(rows) < plan.folds
+        assert plan.window_block_for(rows - 1) == plan.folds
+        return rows
+
+    def test_block_shrinks_as_rows_grow(self, encoders):
+        packed, _ = encoders
+        plan = packed.encode_plan()
+        assert plan.window_block_for(1) == plan.folds
+        assert plan.window_block_for(32) == plan.folds
+        blocks = [plan.window_block_for(r) for r in (1, 32, 500, 2080, 9000)]
+        assert blocks == sorted(blocks, reverse=True)
+
+    @pytest.mark.parametrize("n_jobs", [None, 2])
+    def test_counts_and_signs_around_the_slab_boundary(
+        self, encoders, data, n_jobs,
+    ):
+        packed, ref_counts = encoders
+        b = self._boundary(packed.encode_plan())
+        for rows in (1, 32, b - 1, b, b + 1, len(data)):
+            X = data[:rows]
+            # one call on all rows, or two threaded calls on halves
+            chunk = rows if n_jobs is None else -(-rows // 2)
+            counts = packed.encode_batch(X, chunk=chunk, n_jobs=n_jobs)
+            np.testing.assert_array_equal(counts, ref_counts[:rows])
+            signs = packed.encode_signs_packed(X, chunk=chunk, n_jobs=n_jobs)
+            np.testing.assert_array_equal(signs, _signs_of(ref_counts[:rows]))
+
+    def test_training_chunk_folds_blocks(self, encoders):
+        # the planned chunk is itself past the boundary at this shape
+        plan = encoders[0].encode_plan()
+        assert plan.window_block_for(plan.chunk_samples) < plan.folds

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core import training
 from repro.core.classifier import HDClassifier
+from repro.core.config import ComputeConfig
 from repro.core.encoders import GenericEncoder
 from repro.core.online import AdaptiveHDClassifier
 from repro.core.training import (
@@ -83,6 +84,81 @@ class TestGramIdentity:
         gram = _fit("gram", train_memory_budget=tight)
         assert gram.train_plan_.kernel == "columns"
         _assert_identical(ref, gram)
+
+
+class TestGramColumnPolicy:
+    """``K`` is built only once a fit has used enough distinct columns."""
+
+    @staticmethod
+    def _fit_on(X, y, engine):
+        enc = GenericEncoder(dim=256, num_levels=16, seed=2)
+        return HDClassifier(enc, epochs=6, seed=9,
+                            config=ComputeConfig(train_engine=engine),
+                            ).fit(X, y)
+
+    def test_few_updates_stay_lazy(self):
+        X, y = _workload(n=600, noise=0.0)
+        ref = self._fit_on(X, y, "reference")
+        gram = self._fit_on(X, y, "gram")
+        assert gram.train_plan_.kernel == "precomputed"  # K would fit
+        assert gram.report_.gram_kernel_built is False
+        assert 0 < gram.report_.gram_columns <= 600 // training._GEMM_GAIN
+        _assert_identical(ref, gram)
+
+    def test_noisy_fit_builds_k_for_its_first_update(self):
+        # ~40 of 160 initial mispredictions forecast far more columns
+        # than the break-even (3): no column is computed on its own
+        ref, gram = _fit("reference"), _fit("gram")
+        assert gram.report_.gram_kernel_built is True
+        assert gram.report_.gram_columns == 0
+        _assert_identical(ref, gram)
+
+    def test_use_crosses_the_break_even_mid_epoch(self, monkeypatch):
+        # a costlier GEMM puts the break-even (53 columns) above the
+        # forecast, so the fit starts lazy and builds K in epoch two
+        monkeypatch.setattr(training, "_GEMM_GAIN", 3)
+        ref, gram = _fit("reference"), _fit("gram")
+        report = gram.report_
+        assert report.gram_kernel_built is True
+        assert report.gram_columns == 160 // 3
+        assert (report.updates_per_epoch[0] < report.gram_columns
+                < sum(report.updates_per_epoch[:2]))
+        _assert_identical(ref, gram)
+
+    def test_column_plan_never_builds_k(self):
+        n, n_classes = 160, 5
+        tight = n_classes * n * 8 + n * 8 + 4 * n * 8
+        gram = _fit("gram", train_memory_budget=tight)
+        assert gram.train_plan_.kernel == "columns"
+        assert gram.report_.gram_kernel_built is False
+        assert gram.report_.gram_columns > 4  # more than it could cache
+
+    def test_reference_report_has_no_column_stats(self):
+        report = _fit("reference").report_
+        assert report.gram_columns is None
+        assert report.gram_kernel_built is None
+
+    def test_train_span_records_the_policy(self):
+        from repro.obs import trace as obs_trace
+        from repro.obs.export import CollectorSink
+
+        sink = CollectorSink()
+        obs_trace.enable_tracing(sink)
+        try:
+            gram = _fit("gram")
+        finally:
+            obs_trace.disable_tracing()
+        (train,) = [r for r in sink.spans if r["name"] == "train"]
+        assert train["attrs"]["gram_columns"] == 0
+        assert train["attrs"]["gram_kernel_built"] is True
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 300])
+    def test_bound_stats_bit_equal_to_the_abs_copy(self, n):
+        E = np.random.default_rng(n).integers(
+            -90, 91, size=(n, 70)).astype(np.float64)
+        col_l1, col_max = training._bound_stats(E)
+        np.testing.assert_array_equal(col_l1, np.abs(E).sum(axis=0))
+        np.testing.assert_array_equal(col_max, np.abs(E).max(axis=0))
 
 
 class TestAdaptiveEngine:
