@@ -23,7 +23,10 @@ it replaced (``encode_batch`` -> sign -> ``pack_bits``) at batch 1 and
 records the window block each batch folds (the planner sizes it per
 call from the rows in the call), and at batch 32 measures two threads
 reading out concurrently against one thread doing the same calls --
-reported, not gated, since it depends on the host's cores.
+reported, not gated, since it depends on the host's cores.  Every gated
+timing encodes on one thread (``n_jobs=1``); the top-level ``fanout``
+field times the default width (all usable CPUs) against one thread at
+the training shape (2080 x 256, D = 8192), also reported, not gated.
 
 Usage::
 
@@ -61,6 +64,7 @@ import numpy as np
 
 from repro.core.encoders import GenericEncoder, NgramEncoder
 from repro.core.hypervector import to_binary
+from repro.core.jobs import resolve_jobs, usable_cpus
 from repro.core.kernels import pack_bits
 
 OUT_PATH = pathlib.Path("BENCH_encode.json")
@@ -95,6 +99,10 @@ READOUT_FEATURES = 256
 #: batch); reported only -- a 2-core host cannot gate thread scaling
 THREAD_BATCH = 32
 
+#: (n_samples, n_features, dim) of the default-width fan-out timing: the
+#: training set of the ISOLET-like workload at the trainer's D
+FANOUT_SHAPE = (2080, 256, 8192)
+
 ENCODER_CLASSES = {"generic": GenericEncoder, "ngram": NgramEncoder}
 
 
@@ -104,15 +112,19 @@ def _make_encoder(name: str, dim: int, window: int, engine: str):
 
 
 def _time_encode(encoder, X, repeats: int):
-    """Best-of-``repeats`` wall time and peak traced bytes for one run."""
-    encoder.encode_batch(X[: max(1, len(X) // 8)])  # warm tables + caches
+    """Best-of-``repeats`` single-thread wall time and peak traced bytes.
+
+    ``n_jobs=1`` pins one core, so the engine and approx ratios compare
+    kernels, not how many cores the host lends a multi-chunk batch.
+    """
+    encoder.encode_batch(X[: max(1, len(X) // 8)], n_jobs=1)  # warm up
     best = float("inf")
     out = None
     tracemalloc.start()
     for _ in range(repeats):
         tracemalloc.reset_peak()
         t0 = time.perf_counter()
-        out = encoder.encode_batch(X)
+        out = encoder.encode_batch(X, n_jobs=1)
         best = min(best, time.perf_counter() - t0)
         _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -124,18 +136,19 @@ def _planner_profile(encoder, X, packed_out, repeats):
 
     Both sides are re-timed here *without* tracemalloc -- the engine
     timings above run under allocation tracing, which taxes the planned
-    path's span bookkeeping unevenly and would skew the ratio.
+    path's span bookkeeping unevenly and would skew the ratio.  The
+    planned side runs on one thread (``n_jobs=1``), like the monolith.
     """
     plan = encoder.encode_plan()
     kernel = encoder._current_kernel()
     # interleave the two sides so memory-bandwidth drift on the host
     # hits both equally instead of biasing whichever ran later
-    encoder.encode_batch(X[: max(1, len(X) // 8)])
+    encoder.encode_batch(X[: max(1, len(X) // 8)], n_jobs=1)
     mono_out = kernel._encode_bins_monolith(encoder.quantizer.transform(X))
     planned_seconds = mono_seconds = float("inf")
     for _ in range(max(3, repeats)):
         t0 = time.perf_counter()
-        encoder.encode_batch(X)
+        encoder.encode_batch(X, n_jobs=1)
         planned_seconds = min(planned_seconds, time.perf_counter() - t0)
         t0 = time.perf_counter()
         mono_out = kernel._encode_bins_monolith(
@@ -369,6 +382,43 @@ def run_readout_profile(repeats: int = 3, seed: int = 13):
     return points
 
 
+def run_fanout_profile(repeats: int = 3, seed: int = 17):
+    """Default-width batch encode vs. one thread at the training shape.
+
+    The default ``n_jobs=None`` fans the batch's chunks over every
+    usable CPU; sides are interleaved, best of ``repeats`` each.
+    """
+    n, d, dim = FANOUT_SHAPE
+    X = np.random.default_rng(seed).normal(size=(n, d))
+    enc = _make_encoder("generic", dim, 3, "packed").fit(X)
+    enc.encode_batch(X[:8])
+    t_serial = t_default = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        enc.encode_batch(X, n_jobs=1)
+        t_serial = min(t_serial, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        enc.encode_batch(X)
+        t_default = min(t_default, time.perf_counter() - t0)
+    chunks = -(-n // enc.encode_plan().chunk_samples)
+    point = {
+        "n_samples": n,
+        "n_features": d,
+        "dim": dim,
+        "chunks": chunks,
+        "jobs": min(resolve_jobs(None), chunks),
+        "serial_seconds": round(t_serial, 6),
+        "default_seconds": round(t_default, 6),
+        "speedup": round(t_serial / t_default, 2),
+    }
+    print(
+        f"fanout   {n}x{d} dim={dim}  {point['jobs']} jobs over "
+        f"{chunks} chunks  serial {t_serial * 1e3:7.1f} ms  "
+        f"default {t_default * 1e3:7.1f} ms  speedup {point['speedup']:.2f}x"
+    )
+    return point
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -394,6 +444,7 @@ def main(argv=None) -> int:
     results = run_grid(grid, repeats=args.repeats)
     approx = run_approx_profile(args.quick, repeats=args.repeats)
     readout = run_readout_profile(repeats=args.repeats)
+    fanout = run_fanout_profile(repeats=args.repeats)
     print(
         f"approx@{approx['fraction']:.0%}: "
         f"acc {approx['accuracy_exact']:.4f} -> {approx['accuracy_approx']:.4f} "
@@ -406,6 +457,8 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "numba_backend": _numba_available(),
         "cpus": os.cpu_count(),
+        "usable_cpus": usable_cpus(),
+        "fanout": fanout,
         "ru_maxrss_mb": round(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
         ),

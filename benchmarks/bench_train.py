@@ -37,6 +37,7 @@ import time
 import numpy as np
 
 from repro.core.classifier import HDClassifier
+from repro.core.config import ComputeConfig
 from repro.core.encoders import GenericEncoder
 
 OUT_PATH = pathlib.Path("BENCH_train.json")
@@ -77,7 +78,8 @@ def _time_fit(engine: str, X, y, dim: int, epochs: int, repeats: int):
     clf = None
     for _ in range(repeats):
         encoder = GenericEncoder(dim=dim, num_levels=32, seed=1)
-        clf = HDClassifier(encoder, epochs=epochs, seed=1, train_engine=engine)
+        clf = HDClassifier(encoder, epochs=epochs, seed=1,
+                           config=ComputeConfig(train_engine=engine))
         t0 = time.perf_counter()
         clf.fit(X, y)
         best_fit = min(best_fit, time.perf_counter() - t0)

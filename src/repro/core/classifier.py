@@ -76,8 +76,9 @@ class HDClassifier:
         own setting.
     encode_jobs:
         *Deprecated alias* for ``config.encode_jobs``: thread-pool width
-        for batch encoding in :meth:`fit`/:meth:`predict` (``None`` =
-        serial, ``-1`` = all cores).  Results are identical for any value.
+        for batch encoding in :meth:`fit`/:meth:`predict` (``None`` or
+        ``-1`` = all usable CPUs, ``1`` = serial).  Results are identical
+        for any value.
     train_engine:
         *Deprecated alias* for ``config.train_engine``: ``"reference"``
         (the paper's per-sample loop), ``"gram"`` (the
@@ -184,11 +185,14 @@ class HDClassifier:
             raise ValueError(f"X has {len(X)} rows but y has {len(y)} labels")
         if not self.encoder.fitted:
             self.encoder.fit(X)
-        raw = self.encoder.encode_batch(X, n_jobs=self.encode_jobs)
-        # integral encodings let the training planner skip its whole-array
-        # integer check (see training._paper_rule_exact)
-        self._encodings_integral = bool(np.issubdtype(raw.dtype, np.integer))
-        encodings = np.asarray(raw, dtype=np.float64)
+        # counts land straight in the float64 matrix retraining works on
+        encodings = self.encoder.encode_batch(
+            X, n_jobs=self.encode_jobs, dtype=np.float64
+        )
+        # encoders return integer counts (Encoder._encode_chunk), which
+        # lets the training planner skip its whole-array integer check
+        # (see training._paper_rule_exact)
+        self._encodings_integral = True
         self.classes_, y_idx = np.unique(y, return_inverse=True)
         n_classes = len(self.classes_)
 
@@ -272,7 +276,8 @@ class HDClassifier:
     ) -> np.ndarray:
         """Encode and classify raw inputs."""
         encodings = self.encoder.encode_batch(
-            np.asarray(X, dtype=np.float64), n_jobs=self.encode_jobs
+            np.asarray(X, dtype=np.float64), n_jobs=self.encode_jobs,
+            dtype=np.float64,
         )
         return self.predict_encoded(encodings, dim=dim, constant_norms=constant_norms)
 

@@ -79,8 +79,8 @@ class HDCluster:
         if not self.encoder.fitted:
             self.encoder.fit(X)
         encodings = self.encoder.encode_batch(
-            X, n_jobs=self.encode_jobs
-        ).astype(np.float64)
+            X, n_jobs=self.encode_jobs, dtype=np.float64
+        )
 
         # Paper: the first k encoded inputs are the initial centroids.
         centroids = encodings[: self.k].copy()
@@ -111,9 +111,10 @@ class HDCluster:
         if self.centroids_ is None:
             raise RuntimeError("HDCluster used before fit()")
         encodings = self.encoder.encode_batch(
-            np.asarray(X, dtype=np.float64), n_jobs=self.encode_jobs
+            np.asarray(X, dtype=np.float64), n_jobs=self.encode_jobs,
+            dtype=np.float64,
         )
-        scores = cosine_scores(encodings.astype(np.float64), self.centroids_)
+        scores = cosine_scores(encodings, self.centroids_)
         return np.argmax(scores, axis=1)
 
     def fit_predict(self, X: np.ndarray) -> np.ndarray:

@@ -69,8 +69,12 @@ class ComputeConfig:
         supports one (``"reference"``/``"packed"``/``"auto"``); ``None``
         keeps the encoder's own setting.
     encode_jobs:
-        Thread-pool width for batch encoding (``None`` = serial,
-        ``-1`` = all cores).  Results are identical for any value.
+        Thread-pool width for batch encoding.  ``None`` (default) and
+        ``-1`` use every usable CPU (the process's affinity mask, see
+        :mod:`repro.core.jobs`), ``1`` is serial.  The width is capped
+        by the batch's chunk count, so a batch of one chunk -- every
+        serving batch up to the planner's ``chunk_samples`` -- always
+        encodes serially.  Results are identical for any value.
     train_engine:
         Retraining engine: ``"reference"``, ``"gram"`` or ``"auto"``
         (see :mod:`repro.core.training`).

@@ -5,9 +5,10 @@ encoded hypervector of length ``dim``.  Encoders are *fit* on training
 data (to learn the quantization range and allocate level/id tables) and
 then encode single inputs or batches.  Batch encoding is chunked so the
 encode intermediates stay within a bounded memory footprint -- each
-encoder reports its own per-sample cost via ``_chunk_cost`` -- and can
-fan chunks out over a thread pool (``n_jobs``), since the NumPy kernels
-release the GIL.
+encoder reports its own per-sample cost via ``_chunk_cost`` -- and a
+batch of more than one chunk fans out over a thread pool as wide as the
+usable CPUs (``n_jobs``, see :mod:`repro.core.jobs`), since the NumPy
+kernels release the GIL.
 
 Encoders also report an :class:`OpProfile` -- the operation counts the
 platform models in :mod:`repro.platforms` use to estimate energy and
@@ -16,7 +17,6 @@ latency on conventional devices (Fig. 3 of the paper).
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -24,6 +24,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.core.jobs import resolve_jobs
 from repro.core.kernels import sign_words
 from repro.core.levels import LevelTable, Quantizer
 from repro.obs import trace as obs_trace
@@ -31,15 +32,6 @@ from repro.obs import trace as obs_trace
 DEFAULT_DIM = 4096
 DEFAULT_LEVELS = 64
 _CHUNK_BUDGET = 64 * 1024 * 1024  # bytes of encode intermediates per chunk
-
-
-def _resolve_jobs(n_jobs: Optional[int]) -> int:
-    """Normalize an ``n_jobs`` request: None/0/1 -> serial, <0 -> all cores."""
-    if n_jobs is None or n_jobs == 0 or n_jobs == 1:
-        return 1
-    if n_jobs < 0:
-        return os.cpu_count() or 1
-    return int(n_jobs)
 
 
 @dataclass
@@ -120,19 +112,31 @@ class Encoder(ABC):
         X: np.ndarray,
         chunk: Optional[int] = None,
         n_jobs: Optional[int] = None,
+        dtype=np.int32,
     ) -> np.ndarray:
-        """Encode a batch of inputs; returns an ``(N, dim)`` int32 matrix.
+        """Encode a batch of inputs; returns an ``(N, dim)`` count matrix.
 
         The batch is split into chunks sized from the encoder's own
         :meth:`_chunk_cost` estimate (bytes of intermediates per sample)
-        so the working set stays near the 64 MiB budget.  With
-        ``n_jobs`` set (``-1`` = all cores), chunks fan out over a
-        thread pool -- the NumPy kernels release the GIL, and every
-        chunk writes a disjoint slice of the preallocated output, so the
+        so the working set stays near the 64 MiB budget.  Chunks fan
+        out over a thread pool of ``n_jobs`` workers (``None`` or ``-1``
+        = all usable CPUs, ``1`` = serial), capped by the number of
+        chunks -- the NumPy kernels release the GIL, and every chunk
+        writes a disjoint slice of the preallocated output, so the
         result is identical for any worker count.
+
+        ``dtype`` is the output matrix's dtype: ``int32`` by default, or
+        any dtype that holds every int32 exactly (``np.float64`` hands
+        the trainer its matrix with no int32 staging copy; each chunk's
+        counts are cast as they are written).
         """
+        dtype = np.dtype(dtype)
+        if not np.can_cast(np.int32, dtype, casting="safe"):
+            raise ValueError(
+                f"dtype {dtype} cannot hold int32 counts exactly"
+            )
         return self._encode_rows(
-            X, chunk, n_jobs, self._encode_chunk, self.dim, np.int32
+            X, chunk, n_jobs, self._encode_chunk, self.dim, dtype
         )
 
     def encode_signs_packed(
@@ -155,7 +159,7 @@ class Encoder(ABC):
         )
 
     def _encode_rows(self, X, chunk, n_jobs, encode_chunk, width, dtype):
-        """Chunked, optionally threaded ``encode_chunk`` over a batch."""
+        """Chunked ``encode_chunk`` over a batch, threaded when multi-chunk."""
         self._check_fitted()
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.n_features:
@@ -170,7 +174,7 @@ class Encoder(ABC):
             (start, min(start + chunk, len(X)))
             for start in range(0, len(X), chunk)
         ]
-        jobs = min(_resolve_jobs(n_jobs), len(spans))
+        jobs = min(resolve_jobs(n_jobs), len(spans))
         with obs_trace.span(
             "encode", encoder=self.name, engine=self._engine_label(),
             samples=len(X), dim=self.dim, jobs=jobs,
@@ -233,7 +237,13 @@ class Encoder(ABC):
 
     @abstractmethod
     def _encode_chunk(self, X: np.ndarray) -> np.ndarray:
-        """Encode a small batch; subclasses implement the actual math."""
+        """Encode a small batch to ``(N, dim)`` integer bundle counts.
+
+        Subclasses implement the actual math.  The counts must be
+        integers (bound bipolar sums, or a rounded projection): the
+        retraining planner trusts every ``encode_batch`` output to be
+        integral, whatever its dtype, instead of scanning it.
+        """
 
     def _encode_signs_chunk(self, X: np.ndarray) -> np.ndarray:
         """Packed sign words of a small batch (default: from the counts)."""

@@ -96,8 +96,8 @@ class AdaptiveHDClassifier(HDClassifier):
         # same encode path as fit()/predict(): the ComputeConfig engine
         # selection and thread fan-out apply to streaming batches too
         encodings = self.encoder.encode_batch(
-            X, n_jobs=self.encode_jobs
-        ).astype(np.float64)
+            X, n_jobs=self.encode_jobs, dtype=np.float64
+        )
         y_idx = np.searchsorted(self.classes_, y)
         n, dim = len(X), self.encoder.dim
         n_classes = len(self.classes_)

@@ -212,7 +212,7 @@ def run_divider(
         clf = HDClassifier(enc, epochs=5, seed=seed).fit(ds.X_train, ds.y_train)
         acc = GenericAccelerator()
         acc.load_image(export_model(clf))
-        encodings = enc.encode_batch(ds.X_test).astype(np.float64)
+        encodings = enc.encode_batch(ds.X_test, dtype=np.float64)
 
         accuracies = {}
         accuracies["exact"] = float(np.mean(
@@ -284,7 +284,7 @@ def run_bitwidth(
         ds = load_dataset(name, profile)
         enc = GenericEncoder(dim=dim, seed=seed, use_ids=ds.use_position_ids)
         clf = HDClassifier(enc, epochs=5, seed=seed).fit(ds.X_train, ds.y_train)
-        encodings = enc.encode_batch(ds.X_test).astype(np.float64)
+        encodings = enc.encode_batch(ds.X_test, dtype=np.float64)
         spec = AppSpec(dim=dim, n_features=ds.n_features,
                        n_classes=ds.n_classes, use_ids=ds.use_position_ids)
         _, counters = controller.inference(spec, DEFAULT_PARAMS)

@@ -50,7 +50,7 @@ def sweep_dataset(
     encoder = GenericEncoder(dim=dim, seed=seed, use_ids=ds.use_position_ids)
     clf = HDClassifier(encoder, epochs=epochs, seed=seed)
     clf.fit(ds.X_train, ds.y_train)
-    encodings = encoder.encode_batch(ds.X_test).astype(np.float64)
+    encodings = encoder.encode_batch(ds.X_test, dtype=np.float64)
     if dims is None:
         dims = [d for d in (dim // 16, dim // 8, dim // 4, dim // 2, dim) if d >= 128]
     out: Dict[str, Dict[int, float]] = {"constant": {}, "updated": {}}

@@ -51,7 +51,7 @@ def sweep_dataset(
     encoder = GenericEncoder(dim=dim, seed=seed, use_ids=ds.use_position_ids)
     clf = HDClassifier(encoder, epochs=epochs, seed=seed)
     clf.fit(ds.X_train, ds.y_train)
-    encodings = encoder.encode_batch(ds.X_test).astype(np.float64)
+    encodings = encoder.encode_batch(ds.X_test, dtype=np.float64)
 
     out: Dict[int, Dict[float, float]] = {}
     for bw in bitwidths:

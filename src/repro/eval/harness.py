@@ -8,6 +8,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
+from repro.core.jobs import resolve_jobs
 from repro.eval.tables import format_table
 from repro.obs import distributed as obs_distributed
 from repro.obs import trace as obs_trace
@@ -95,16 +96,6 @@ def _unwrap_shipped(out):
     return results
 
 
-def resolve_jobs(n_jobs: Optional[int] = None) -> int:
-    """Normalize an ``n_jobs`` flag: ``None``/``0`` -> 1, ``-1`` -> all cores."""
-    if not n_jobs:
-        return 1
-    n = int(n_jobs)
-    if n < 0:
-        return max(1, os.cpu_count() or 1)
-    return n
-
-
 def parallel_map(
     fn: Callable,
     items: Iterable,
@@ -115,16 +106,18 @@ def parallel_map(
 
     Results come back in input order, and every task is independent (the
     experiment runners seed each cell separately), so the output is
-    identical for any ``n_jobs``.  ``mode="process"`` (default) uses a
-    process pool -- ``fn`` and the items must then be picklable, i.e.
-    module-level functions over plain tuples; ``mode="thread"`` suits
-    tasks that release the GIL.  Falls back to a serial map when the
-    platform refuses to spawn workers (e.g. sandboxed CI).
+    identical for any ``n_jobs`` (``None`` = serial, ``-1`` = all usable
+    CPUs, see :func:`repro.core.jobs.resolve_jobs`).  ``mode="process"``
+    (default) uses a process pool -- ``fn`` and the items must then be
+    picklable, i.e. module-level functions over plain tuples;
+    ``mode="thread"`` suits tasks that release the GIL.  Falls back to a
+    serial map when the platform refuses to spawn workers (e.g.
+    sandboxed CI).
     """
     if mode not in ("process", "thread"):
         raise ValueError(f"unknown parallel mode {mode!r}")
     items = list(items)
-    jobs = min(resolve_jobs(n_jobs), len(items))
+    jobs = min(resolve_jobs(n_jobs, default=1), len(items))
     if obs_trace.tracing_enabled():
         task = getattr(fn, "__name__", type(fn).__name__)
         traced = _TracedJob(fn, task)

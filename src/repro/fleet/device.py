@@ -142,8 +142,8 @@ class EdgeDevice:
     def encodings(self) -> np.ndarray:
         """The shard's encodings (computed once, cached -- static data)."""
         if self._encodings is None:
-            self._encodings = np.asarray(
-                self.encoder.encode_batch(self.X), dtype=np.float64
+            self._encodings = self.encoder.encode_batch(
+                self.X, dtype=np.float64
             )
         return self._encodings
 

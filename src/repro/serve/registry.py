@@ -199,8 +199,8 @@ class Deployment:
                 self.model.encode_jobs = self.encode_jobs
             return self.model.encode_packed(X)
         encoded = self.model.encoder.encode_batch(
-            X, n_jobs=self.encode_jobs
-        ).astype(np.float64)
+            X, n_jobs=self.encode_jobs, dtype=np.float64
+        )
         if self.dim_order is not None:
             # regenerated layout: queries permute to match the permuted
             # class matrix, so prefix searches keep informative dims

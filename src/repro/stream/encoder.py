@@ -125,7 +125,8 @@ class StreamingEncoder:
         whole pipeline holds at most ``chunk_size`` raw samples plus one
         chunk of encodings at a time.
     n_jobs:
-        Thread fan-out for each chunk's ``encode_batch`` call.
+        Thread fan-out for each chunk's ``encode_batch`` call (``None``
+        = all usable CPUs, ``1`` = serial; see ``encode_batch``).
     warmup:
         Samples used to fit an unfitted encoder (default: one chunk).
     adapt_range:

@@ -80,7 +80,7 @@ class StreamConfig:
     regen_on_shed: bool = True
     #: let the streaming encoder track the value range (breaks exactness)
     adapt_range: bool = False
-    #: thread fan-out for chunk encoding
+    #: thread fan-out for chunk encoding (None = all usable CPUs)
     n_jobs: Optional[int] = None
 
 

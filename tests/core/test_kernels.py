@@ -6,6 +6,9 @@ size, and thread count -- it is an implementation swap, never a model
 change.
 """
 
+import os
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.encoders import GenericEncoder, NgramEncoder
 from repro.core.encoders.base import _CHUNK_BUDGET
+from repro.core.jobs import resolve_jobs, usable_cpus
 from repro.core.kernels import (
     GenericPackedKernel,
     add_planes,
@@ -26,6 +30,8 @@ from repro.core.kernels import (
     unpack_bits,
     _popcount_words_lut,
 )
+from repro.obs import trace as obs_trace
+from repro.obs.export import CollectorSink
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -143,6 +149,102 @@ class TestParallelPipeline:
             epochs=2, seed=5, encode_jobs=jobs,
         ).fit(X_train, y_train)
         assert np.array_equal(mk(None).predict(X_test), mk(2).predict(X_test))
+
+
+def _encode_span_jobs(enc, X, **kwargs):
+    """The ``jobs`` attribute of the ``encode`` span one call records."""
+    sink = CollectorSink()
+    obs_trace.enable_tracing(sink)
+    try:
+        enc.encode_batch(X, **kwargs)
+    finally:
+        obs_trace.disable_tracing()
+    (rec,) = [r for r in sink.spans if r["name"] == "encode"]
+    return rec["attrs"]["jobs"]
+
+
+class TestDefaultFanOut:
+    """``n_jobs=None`` fans multi-chunk batches over every usable CPU."""
+
+    #: D=8192 puts 128 (packed) / 146 (reference) rows in a chunk, so
+    #: 300 rows are three chunks on either engine
+    SHAPE = dict(dim=8192, n=300, d=16)
+
+    def _fitted(self, engine):
+        X = _data(31, self.SHAPE["n"], self.SHAPE["d"])
+        enc = GenericEncoder(dim=self.SHAPE["dim"], num_levels=8, seed=4,
+                             engine=engine).fit(X)
+        assert enc.encode_plan().chunk_samples < len(X) // 2  # >= 3 chunks
+        return enc, X
+
+    @pytest.mark.parametrize("engine", ["reference", "packed"])
+    def test_default_width_matches_serial(self, engine):
+        enc, X = self._fitted(engine)
+        assert np.array_equal(enc.encode_batch(X),
+                              enc.encode_batch(X, n_jobs=1))
+        assert np.array_equal(enc.encode_signs_packed(X),
+                              enc.encode_signs_packed(X, n_jobs=1))
+
+    def test_default_width_is_usable_cpus_capped_by_chunks(self):
+        enc, X = self._fitted("packed")
+        assert _encode_span_jobs(enc, X) == min(usable_cpus(), 3)
+        assert _encode_span_jobs(enc, X, n_jobs=8) == 3
+        assert _encode_span_jobs(enc, X, n_jobs=1) == 1
+        # one chunk (a serving batch) never starts a pool
+        assert _encode_span_jobs(enc, X[:32], n_jobs=8) == 1
+
+    @pytest.mark.parametrize("engine", ["reference", "packed"])
+    def test_float64_output_equals_cast_counts(self, engine):
+        enc, X = self._fitted(engine)
+        counts = enc.encode_batch(X)
+        out = enc.encode_batch(X, dtype=np.float64)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, counts.astype(np.float64))
+
+    def test_threads_racing_lazy_plan_and_kernel(self):
+        """Chunk threads build the dropped plan and kernel concurrently."""
+        X = _data(32, 48, 12)
+        mk = lambda: GenericEncoder(dim=256, num_levels=8, seed=4,
+                                    engine="reference").fit(X)
+        expected = mk().encode_batch(X, n_jobs=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                enc = mk()
+                enc.engine = "packed"  # no plan, no kernel built yet
+                out = enc.encode_batch(X, chunk=1, n_jobs=8)
+                assert np.array_equal(out, expected)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_lossy_dtype_rejected(self):
+        enc, X = self._fitted("packed")
+        with pytest.raises(ValueError, match="int32 counts exactly"):
+            enc.encode_batch(X[:4], dtype=np.float32)
+
+
+class TestJobResolver:
+    def test_request_values(self):
+        assert resolve_jobs(None) == usable_cpus()
+        assert resolve_jobs(0) == 1
+        assert resolve_jobs(1) == 1
+        assert resolve_jobs(-1) == usable_cpus()
+        assert resolve_jobs(5) == 5
+
+    def test_counts_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert usable_cpus() == 1
+        assert resolve_jobs(None) == 1
+
+    def test_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cpus() == 1
 
 
 class TestChunkCost:

@@ -13,6 +13,7 @@ from repro.core import training
 from repro.core.classifier import HDClassifier
 from repro.core.config import ComputeConfig
 from repro.core.encoders import GenericEncoder
+from repro.core.encoders.registry import ENCODERS, make_encoder
 from repro.core.online import AdaptiveHDClassifier
 from repro.core.training import (
     DEFAULT_TRAIN_BUDGET,
@@ -84,6 +85,33 @@ class TestGramIdentity:
         gram = _fit("gram", train_memory_budget=tight)
         assert gram.train_plan_.kernel == "columns"
         _assert_identical(ref, gram)
+
+
+class TestEncodeFanOut:
+    """The default config fans fit's encode out; the fit must not change."""
+
+    def _fit_with(self, config):
+        # D=8192 holds 128 rows per packed chunk: 300 rows are 3 chunks
+        X, y = _workload(n=300, n_features=16)
+        enc = GenericEncoder(dim=8192, num_levels=16, seed=2)
+        return HDClassifier(enc, epochs=4, seed=9, config=config).fit(X, y)
+
+    def test_default_fit_matches_serial_encode(self):
+        fanned = self._fit_with(ComputeConfig())
+        serial = self._fit_with(ComputeConfig(encode_jobs=1))
+        assert fanned.encode_jobs is None
+        assert np.array_equal(fanned.classes_, serial.classes_)
+        assert sum(serial.report_.updates_per_epoch) > 0  # non-trivial
+        _assert_identical(serial, fanned)
+        assert fanned.train_plan_ == serial.train_plan_
+
+    @pytest.mark.parametrize("name", sorted(ENCODERS))
+    def test_every_encoder_returns_integer_counts(self, name):
+        """``fit`` trusts integral float64 encodings without a scan."""
+        X, _ = _workload(n=40, n_features=16)
+        enc = make_encoder(name, dim=256, num_levels=16, seed=2).fit(X)
+        out = enc.encode_batch(X, dtype=np.float64)
+        assert np.array_equal(out, np.trunc(out))
 
 
 class TestGramColumnPolicy:

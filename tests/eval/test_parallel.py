@@ -5,12 +5,11 @@ every experiment cell is independently seeded, so a parallel run must
 be indistinguishable from the serial one.
 """
 
-import os
-
 import pytest
 
+from repro.core.jobs import resolve_jobs, usable_cpus
 from repro.eval.experiments import ablations, fig5, table1
-from repro.eval.harness import parallel_map, resolve_jobs
+from repro.eval.harness import parallel_map
 
 
 def _square(x):
@@ -18,15 +17,17 @@ def _square(x):
 
 
 class TestResolveJobs:
+    """``parallel_map`` resolves with ``default=1``: None stays serial."""
+
     def test_none_and_zero_mean_serial(self):
-        assert resolve_jobs(None) == 1
-        assert resolve_jobs(0) == 1
+        assert resolve_jobs(None, default=1) == 1
+        assert resolve_jobs(0, default=1) == 1
 
     def test_minus_one_means_all_cores(self):
-        assert resolve_jobs(-1) == max(1, os.cpu_count() or 1)
+        assert resolve_jobs(-1, default=1) == usable_cpus()
 
     def test_positive_passthrough(self):
-        assert resolve_jobs(3) == 3
+        assert resolve_jobs(3, default=1) == 3
 
 
 class TestParallelMap:
