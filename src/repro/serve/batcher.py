@@ -9,10 +9,14 @@ batches).  The batcher implements the classic two-knob policy:
 - ``max_wait``: after the *first* request of a batch arrives, wait at
   most this long for followers before dispatching.
 
-Under light load batches are mostly singletons dispatched immediately
-(the first request never waits for ``max_wait`` unless followers might
-still arrive); under heavy load batches fill to ``max_batch`` without
-waiting at all, so throughput rises exactly when it is needed.
+Every batch lingers: after the first request, :meth:`MicroBatcher.
+next_batch` waits up to ``max_wait`` for followers even when the queue
+is empty and a worker is idle, so under light load a lone request pays
+the full ``max_wait`` before it is dispatched.  Under heavy load
+batches fill to ``max_batch`` before the linger ends.  Dispatching at
+once when nothing else is queued is left to the ROADMAP item "A
+light-load workload, then the batcher linger fix", which first adds the
+``serve-light`` workload that would measure it.
 """
 
 from __future__ import annotations

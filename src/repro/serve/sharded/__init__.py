@@ -15,7 +15,6 @@ from repro.serve.sharded.router import (
     ShardRouter,
     merge_topk,
     partition_classes,
-    stable_hash,
 )
 from repro.serve.sharded.server import (
     ProcessExecutor,
@@ -30,5 +29,4 @@ __all__ = [
     "ShardRouter",
     "merge_topk",
     "partition_classes",
-    "stable_hash",
 ]

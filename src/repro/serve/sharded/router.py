@@ -1,14 +1,12 @@
-"""Shard routing: consistent hashing, class partitions, exact top-k merge.
+"""Shard routing: shortest-queue routing, class partitions, exact top-k merge.
 
 Two sharding shapes, both pure functions of the model structure (no
 processes in this module, so the exactness property is unit-testable in
 isolation):
 
-- **replica** -- every shard holds the full model; the router spreads
-  batches with a consistent-hash ring (stable across processes: Python's
-  builtin ``hash`` is per-process salted, so keys hash through crc32)
-  and falls back to the least-loaded shard when the ring's pick is
-  overloaded or its breaker is open.
+- **replica** -- every shard holds the full model; the router sends
+  each batch to the eligible shard (closed breaker, live process) with
+  the fewest batches in flight, rotating ties round-robin.
 - **partition** -- shard ``s`` owns a contiguous slice of class rows;
   each shard answers a top-k over *its* rows with **global** row
   indices, and :func:`merge_topk` recombines the per-shard lists by the
@@ -23,21 +21,12 @@ isolation):
 
 from __future__ import annotations
 
-import bisect
 import threading
-import zlib
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["stable_hash", "partition_classes", "merge_topk", "ShardRouter"]
-
-
-def stable_hash(key: object) -> int:
-    """Process-stable 32-bit hash (crc32; builtin ``hash`` is salted)."""
-    if not isinstance(key, bytes):
-        key = repr(key).encode()
-    return zlib.crc32(key) & 0xFFFFFFFF
+__all__ = ["partition_classes", "merge_topk", "ShardRouter"]
 
 
 def partition_classes(n_classes: int, n_shards: int) -> List[slice]:
@@ -83,22 +72,19 @@ def merge_topk(
 class ShardRouter:
     """Routes batches to shards; merges partitioned search results.
 
-    In replica mode :meth:`pick` consults a consistent-hash ring of
-    ``vnodes`` virtual nodes per shard -- same key, same shard, across
-    restarts -- then applies a least-loaded override: if the ring's
-    choice already carries ``imbalance`` more in-flight batches than
-    the least-loaded shard (or is excluded, e.g. open breaker / dead
-    process), the batch goes to the least-loaded eligible shard
-    instead.  Load is tracked by :meth:`dispatched`/:meth:`completed`.
+    :meth:`pick` is shortest-queue routing: the eligible shard with the
+    fewest in-flight batches wins, ties rotating round-robin.  Every
+    replica maps the same shared-memory model, so no batch prefers a
+    shard and the least-loaded one keeps every replica busy.  Load is
+    tracked by :meth:`dispatched`/:meth:`completed`.
 
     In partition mode every shard owns ``slices[s]`` of the class rows
-    and search batches broadcast to all shards; :meth:`pick` still
-    load-balances the encode phase.
+    and search batches broadcast to all shards; :meth:`pick` places the
+    encode phase by the same rule.
     """
 
     def __init__(self, n_shards: int, mode: str = "replica",
-                 n_classes: Optional[int] = None,
-                 vnodes: int = 64, imbalance: int = 2):
+                 n_classes: Optional[int] = None):
         if mode not in ("replica", "partition"):
             raise ValueError(
                 f"mode must be 'replica' or 'partition', got {mode!r}"
@@ -109,19 +95,11 @@ class ShardRouter:
             raise ValueError("partition mode needs n_classes")
         self.n_shards = n_shards
         self.mode = mode
-        self.imbalance = int(imbalance)
         self.slices = (partition_classes(n_classes, n_shards)
                        if mode == "partition" else None)
-        # consistent-hash ring: vnodes points per shard on a 32-bit circle
-        points = []
-        for shard in range(n_shards):
-            for v in range(vnodes):
-                points.append((stable_hash(f"shard-{shard}-vnode-{v}"), shard))
-        points.sort()
-        self._ring_keys = [p[0] for p in points]
-        self._ring_shards = [p[1] for p in points]
         self._lock = threading.Lock()
         self._loads = [0] * n_shards
+        self._next = 0  # where the round-robin tie-break starts
 
     # -- load tracking -------------------------------------------------------
 
@@ -139,30 +117,21 @@ class ShardRouter:
 
     # -- routing -------------------------------------------------------------
 
-    def _ring_pick(self, key: object) -> int:
-        h = stable_hash(key)
-        i = bisect.bisect_right(self._ring_keys, h) % len(self._ring_keys)
-        return self._ring_shards[i]
-
-    def pick(self, key: object,
-             eligible: Optional[Sequence[int]] = None) -> int:
-        """Choose a shard for ``key`` (consistent hash, least-loaded cap).
+    def pick(self, eligible: Optional[Sequence[int]] = None) -> int:
+        """The eligible shard with the fewest in-flight batches.
 
         ``eligible`` restricts the candidates (shards whose breaker is
-        closed and whose process is alive); when the ring's choice is
-        ineligible or overloaded, the least-loaded eligible shard wins.
-        With no eligible shard at all, the ring choice is returned
-        anyway -- the caller's breaker/error path owns that failure.
+        closed and whose process is alive).  Ties go to the first tied
+        shard at or after the rotating start, so equal loads alternate.
+        With no eligible shard at all, every shard is a candidate -- the
+        caller's breaker/error path owns that failure.
         """
-        choice = self._ring_pick(key)
-        ok = set(range(self.n_shards) if eligible is None else eligible)
-        if not ok:
-            return choice
+        n = self.n_shards
+        ok = set(range(n) if not eligible else eligible)
         with self._lock:
-            least = min(ok, key=lambda s: (self._loads[s], s))
-            if (choice not in ok
-                    or self._loads[choice] > self._loads[least] + self.imbalance):
-                return least
+            start = self._next
+            choice = min(ok, key=lambda s: (self._loads[s], (s - start) % n))
+            self._next = (choice + 1) % n
         return choice
 
     # -- partitioned search --------------------------------------------------

@@ -15,10 +15,11 @@ GIL::
 
 Routing comes in two modes (see
 :class:`~repro.serve.sharded.router.ShardRouter`): **replica** sends a
-whole batch (encode + search) to one consistent-hash/least-loaded
-shard; **partition** encodes on one shard, broadcasts the packed query
-words, and exactly merges per-shard top-k scores -- bit-identical to
-single-process :meth:`~repro.core.packed.PackedModel.predict_packed`.
+whole batch (encode + search) to one shard by shortest-queue routing
+(fewest batches in flight); **partition** encodes on one shard picked
+the same way, broadcasts the packed query words, and exactly merges
+per-shard top-k scores -- bit-identical to single-process
+:meth:`~repro.core.packed.PackedModel.predict_packed`.
 
 Hot swap is epoch-based: ``swap()`` publishes the new model as a fresh
 shared segment, enqueues a swap message on every shard's FIFO queue,
@@ -263,8 +264,7 @@ class ProcessExecutor(Executor):
     def _dispatch(self, batch: Batch) -> None:
         server = self.server
         seq = next(self._seq)
-        batch.slot = shard = self.router.pick(
-            (batch.model, seq), eligible=self._eligible_shards())
+        batch.slot = shard = self.router.pick(self._eligible_shards())
         if not server._chaos(batch):
             return
         try:
@@ -463,6 +463,14 @@ class ProcessExecutor(Executor):
             # batches
             self.server.breakers[i].record_failure()
             self._fail_shard_pendings(i)
+            # a worker idles in task_queue.get() holding the queue's
+            # process-shared reader lock; killed there, it never frees
+            # it and the replacement would wait on it forever.  Only
+            # this shard reads its queue, so a held lock is the dead
+            # process's: free it.
+            reader_lock = self._task_queues[i]._rlock
+            reader_lock.acquire(block=False)
+            reader_lock.release()
             self._procs[i] = self._spawn(i)
             events.append({"shard": i, "exitcode": proc.exitcode})
         return events
@@ -478,10 +486,12 @@ class ProcessExecutor(Executor):
             for p in doomed:
                 p.dead = True
                 self._pending.pop(p.seq, None)
-        if doomed:
-            # the message the shard died on never gets a reply; the
-            # ones still queued are answered by its replacement
-            self.router.completed(shard)
+        # the message the shard died holding never gets a reply; the
+        # ones still queued are answered by its replacement.  Had the
+        # shard died idle, this release is a no-op (loads clamp at zero)
+        # or comes early for a reply still in the result pipe; either
+        # way no load leaks.
+        self.router.completed(shard)
         for p in doomed:
             err = WorkerError(f"shard {shard} died with the batch in flight",
                               model=p.batch.model, worker=shard,

@@ -1,4 +1,4 @@
-"""ShardRouter: hashing, partitioning, and the exact top-k merge.
+"""ShardRouter: shortest-queue picks, partitioning, and the exact top-k merge.
 
 The load-bearing property (the class-partitioned serving mode depends
 on it): merging per-shard ``topk_to_classes`` results by the
@@ -19,17 +19,7 @@ from repro.serve.sharded.router import (
     ShardRouter,
     merge_topk,
     partition_classes,
-    stable_hash,
 )
-
-
-class TestStableHash:
-    def test_deterministic_across_calls(self):
-        assert stable_hash(("m", 17)) == stable_hash(("m", 17))
-
-    def test_spreads(self):
-        vals = {stable_hash(("m", i)) % 64 for i in range(512)}
-        assert len(vals) > 32  # not collapsing onto a few buckets
 
 
 class TestPartitionClasses:
@@ -114,35 +104,71 @@ class TestMergeExactness:
         np.testing.assert_array_equal(dists[:, 0], full.min(axis=1))
 
 
+def _loaded(loads, mode="replica"):
+    router = ShardRouter(len(loads), mode=mode, n_classes=8)
+    for shard, load in enumerate(loads):
+        for _ in range(load):
+            router.dispatched(shard)
+    return router
+
+
 class TestRouterPick:
-    def test_replica_pick_is_sticky_per_key(self):
-        router = ShardRouter(4, mode="replica")
-        eligible = [0, 1, 2, 3]
-        picks = {router.pick(("m", 9), eligible) for _ in range(10)}
-        assert len(picks) == 1
+    def test_idle_shard_takes_every_pick(self):
+        # loads 2:0 -- the busy shard never gets a third batch
+        router = _loaded([2, 0])
+        assert [router.pick([0, 1]) for _ in range(10)] == [1] * 10
+
+    def test_equal_loads_alternate(self):
+        router = _loaded([1, 1])
+        picks = [router.pick([0, 1]) for _ in range(10)]
+        assert picks == [0, 1] * 5
 
     def test_pick_avoids_ineligible(self):
         router = ShardRouter(4, mode="replica")
-        for seq in range(50):
-            assert router.pick(("m", seq), eligible=[2]) == 2
+        for _ in range(50):
+            assert router.pick(eligible=[2]) == 2
+        # even when the ineligible shards are idle
+        loaded = _loaded([0, 5, 0, 0])
+        assert {loaded.pick([1]) for _ in range(10)} == {1}
 
     def test_least_loaded_override(self):
-        router = ShardRouter(2, mode="replica", imbalance=1)
+        router = ShardRouter(2, mode="replica")
         # pile synthetic load onto shard 0
         for _ in range(10):
             router.dispatched(0)
         counts = {0: 0, 1: 0}
-        for seq in range(40):
-            counts[router.pick(("m", seq), eligible=[0, 1])] += 1
+        for _ in range(40):
+            counts[router.pick(eligible=[0, 1])] += 1
         assert counts[1] > counts[0]
+
+    def test_partition_encode_phase_is_least_loaded(self):
+        router = _loaded([1, 0, 1], mode="partition")
+        assert router.pick([0, 1, 2]) == 1
 
     def test_partition_rows(self):
         router = ShardRouter(3, mode="partition", n_classes=8)
         spans = [router.shard_rows(s) for s in range(3)]
         assert [s.stop - s.start for s in spans] == [3, 3, 2]
 
-    def test_no_eligible_falls_back_to_ring(self):
+    def test_no_eligible_still_returns_a_shard(self):
         # the caller's breaker path owns total outage; pick still
         # returns a valid shard index rather than raising mid-dispatch
-        router = ShardRouter(2, mode="replica")
-        assert router.pick(("m", 1), eligible=[]) in (0, 1)
+        router = _loaded([3, 1])
+        assert router.pick(eligible=[]) in (0, 1)
+        assert ShardRouter(2, mode="replica").pick(eligible=[]) in (0, 1)
+
+    @given(loads=st.lists(st.integers(0, 6), min_size=1, max_size=8),
+           data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_pick_is_eligible_and_least_loaded(self, loads, data):
+        router = _loaded(loads)
+        n = len(loads)
+        eligible = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                      unique=True))
+        for _ in range(data.draw(st.integers(1, 2 * n))):
+            shard = router.pick(eligible)
+            assert shard in eligible
+            current = router.loads()
+            assert current[shard] == min(current[s] for s in eligible)
+            if data.draw(st.booleans()):
+                router.dispatched(shard)

@@ -193,6 +193,58 @@ def test_failed_reply_leaves_no_router_load(mode, serve_classifier,
         assert server.router.loads() == [0, 0]
 
 
+def _settled_loads(server, timeout=10.0):
+    """Router loads once no shard has a reply still to send."""
+    deadline = time.monotonic() + timeout
+    while (any(server.router.loads())
+           and time.monotonic() < deadline):
+        time.sleep(0.01)
+    return server.router.loads()
+
+
+@pytest.mark.parametrize("mode", ["replica", "partition"])
+def test_router_loads_reconcile_after_a_run(mode, serve_classifier,
+                                            serve_queries):
+    # shortest-queue routing steers every batch away from a shard whose
+    # load leaked, so the in-flight count must return to zero: one
+    # release per PREDICT reply (replica), per ENCODE reply and per
+    # SEARCH partial of the broadcast (partition)
+    server = ShardedServer(_config(mode=mode))
+    server.register("m", serve_classifier)
+    with server:
+        for _ in range(3):
+            server.predict_many("m", serve_queries[:40], timeout=60.0)
+            assert server.wait_idle(30.0)
+            assert server.router.loads() == [0, 0]
+        assert all(server.worker_utilization()["served"])
+
+
+@pytest.mark.parametrize("mode", ["replica", "partition"])
+def test_router_loads_reconcile_after_kill_and_respawn(
+        mode, serve_classifier, serve_packed, serve_queries):
+    # a killed shard's in-flight batches fail over (_fail_shard_pendings
+    # releases the message it died holding); its replacement answers the
+    # messages still queued, and each of those replies releases one
+    chaos = ChaosPolicy(kill_rate=0.1, max_kills=2, seed=5)
+    server = ShardedServer(
+        _config(mode=mode, max_retries=6, retry_backoff=0.02), chaos=chaos,
+    )
+    server.register("m", serve_classifier)
+    q = serve_queries[:40]
+    ref = serve_packed.predict_packed(serve_packed.encode_packed(q))
+    with server:
+        preds = server.predict_many("m", q, timeout=120.0)
+        np.testing.assert_array_equal([p.label for p in preds], ref)
+        assert server.wait_idle(30.0)
+        assert server.stats()["resilience"]["worker_restarts"] >= 1
+        assert _settled_loads(server) == [0, 0]
+        # and routing still uses both shards afterwards
+        server.predict_many("m", q, timeout=60.0)
+        assert server.wait_idle(30.0)
+        assert _settled_loads(server) == [0, 0]
+    assert chaos.injected_kills >= 1
+
+
 class TestHotSwap:
     def test_swap_under_load_drops_nothing(self, serve_classifier,
                                            serve_queries):
@@ -260,6 +312,29 @@ class TestCrashRecovery:
             assert stats["counters"].get("worker_kills", 0) >= 1
             assert stats["resilience"]["worker_restarts"] >= 1
         assert _no_leaked_segments(server)
+
+
+    def test_shard_killed_while_idle_serves_after_respawn(
+            self, serve_classifier, serve_queries):
+        # an idle worker waits in task_queue.get() holding the queue's
+        # reader lock; the replacement must not inherit it held
+        server = ShardedServer(_config(max_retries=6, retry_backoff=0.02))
+        server.register("m", serve_classifier)
+        with server:
+            server.predict_many("m", serve_queries[:16], timeout=30.0)
+            assert server.wait_idle(30.0)
+            time.sleep(0.2)
+            server.executor.kill(0)
+            deadline = time.monotonic() + 10.0
+            while (server.stats()["resilience"]["worker_restarts"] < 1
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert server.stats()["resilience"]["worker_restarts"] >= 1
+            before = server.worker_utilization()["served"][0]
+            server.predict_many("m", serve_queries[:64], timeout=30.0)
+            assert server.wait_idle(30.0)
+            assert server.worker_utilization()["served"][0] > before
+            assert _settled_loads(server) == [0, 0]
 
 
 class TestStreamLoopIntegration:
