@@ -127,10 +127,11 @@ class ShardRouter:
         caller's breaker/error path owns that failure.
         """
         n = self.n_shards
-        ok = set(range(n) if not eligible else eligible)
+        candidates = eligible or range(n)
         with self._lock:
             start = self._next
-            choice = min(ok, key=lambda s: (self._loads[s], (s - start) % n))
+            choice = min(candidates,
+                         key=lambda s: (self._loads[s], (s - start) % n))
             self._next = (choice + 1) % n
         return choice
 
