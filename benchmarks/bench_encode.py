@@ -20,8 +20,9 @@ query path's packed sign read-out (``encode_signs_packed``, a
 comparator on the carry-save bit planes) against the counts read-out
 it replaced (``encode_batch`` -> sign -> ``pack_bits``) at batch 1 and
 32 on the served shape (256 features, window 3, D = 2048 and 8192),
-records the window block each batch folds (the planner sizes it per
-call from the rows in the call), and at batch 32 measures two threads
+records the planner's row tile (each tile folds all its windows and is
+bundled in place; a batch spans ``ceil(batch / tile_rows)`` tiles),
+and at batch 32 measures two threads
 reading out concurrently against one thread doing the same calls --
 reported, not gated, since it depends on the host's cores.  Every gated
 timing encodes on one thread (``n_jobs=1``); the top-level ``fanout``
@@ -158,7 +159,7 @@ def _planner_profile(encoder, X, packed_out, repeats):
     return {
         "backend": plan.backend_name,
         "fuse_pairs": bool(plan.fuse_pairs),
-        "window_block": int(plan.window_block_for(plan.chunk_samples)),
+        "tile_rows": int(plan.tile_rows),
         "chunk_samples": int(plan.chunk_samples),
         "planned_seconds": round(planned_seconds, 6),
         "monolith_seconds": round(mono_seconds, 6),
@@ -359,7 +360,7 @@ def run_readout_profile(repeats: int = 3, seed: int = 13):
                 "batch": batch,
                 "n_features": READOUT_FEATURES,
                 "window": 3,
-                "window_block": int(plan.window_block_for(batch)),
+                "tile_rows": int(plan.tile_rows),
                 "folds": int(plan.folds),
                 "packed_ms": round(t_packed * 1e3, 4),
                 "counts_sign_pack_ms": round(t_counts * 1e3, 4),
@@ -372,7 +373,7 @@ def run_readout_profile(repeats: int = 3, seed: int = 13):
             points.append(point)
             print(
                 f"readout  dim={dim:5d} batch={batch:3d}  "
-                f"block {point['window_block']:3d}/{plan.folds}  "
+                f"tile {point['tile_rows']:4d} rows  "
                 f"packed {t_packed * 1e3:7.3f} ms  "
                 f"counts+sign+pack {t_counts * 1e3:7.3f} ms  "
                 f"speedup {t_counts / t_packed:5.2f}x  identical={identical}"

@@ -2,7 +2,7 @@
 
 Every encode since the primitive-IR refactor runs through a
 :class:`~repro.core.ir.KernelPlan`: the planner picks a backend,
-decides pair fusion / window blocking / chunk sizes per shape class,
+decides pair fusion / row tiles / chunk sizes per shape class,
 and prices the pipeline per primitive.  ``plan.describe()`` renders
 those decisions; this example walks a few regimes where they change:
 
@@ -43,7 +43,7 @@ def main() -> None:
     show("D=1024, packed (fusion off: tables stay cache-resident)",
          GenericEncoder(dim=1024, num_levels=64, seed=1, window=3,
                         engine="packed"), X)
-    show("D=8192, packed (pair fusion + window blocking)",
+    show("D=8192, packed (pair fusion + row tiles)",
          GenericEncoder(dim=8192, num_levels=64, seed=1, window=3,
                         engine="packed"), X)
     show("D=4096, reference (bipolar ground truth)",

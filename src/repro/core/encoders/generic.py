@@ -16,7 +16,7 @@ language identification.  ``n = 3`` is the paper's default.
 Execution lowers onto the primitive IR of :mod:`repro.core.ir`: the
 ``engine=`` request resolves through the :class:`KernelPlanner
 <repro.core.ir.planner.KernelPlanner>` to a registered backend, and the
-cached plan decides fusion, window blocking and chunk sizing:
+cached plan decides fusion, row tiles and chunk sizing:
 
 - ``"reference"`` -- the ``numpy-reference`` backend, the direct
   bipolar-domain translation of Eq. 1 (int8 level lookups, ``np.roll``

@@ -15,9 +15,10 @@ Shipped backends:
   (int8 level gathers, ``np.roll`` permutes, int8 products).
 - ``packed-uint64`` -- the bit-domain fast path of
   :mod:`repro.core.kernels` (pre-permuted packed tables, word-wise
-  XOR folds, carry-save-adder bundling into bit planes), refactored
-  here into per-primitive methods.  Its sign read-out compares the
-  planes against ``k // 2 + 1`` and never builds int32 counts.
+  XOR folds, breadth-first carry-save bundling into bit planes, one
+  row tile at a time), refactored here into per-primitive methods.
+  Its sign read-out compares the planes against ``k // 2 + 1`` and
+  never builds int32 counts.
 - ``numba-jit`` -- optional fully-fused scalar loops compiled by
   numba, auto-detected at import (see
   :mod:`repro.core.ir.numba_backend`); absent silently when numba is
@@ -114,9 +115,17 @@ class Backend:
 
 
 def _window_indices(plan, n_windows: int):
-    """The window index vector a plan folds (None -> all, in order)."""
+    """The windows a plan folds: a :class:`slice` of all, or the selection.
+
+    Exact plans (``window_sel is None``) get a slice so every
+    downstream gather stays a basic-indexing *view* of the bins --
+    fancy ``idx + j`` index arrays cost a materialized copy per window
+    offset, which is the difference between matching and trailing the
+    fused monolith at small ``dim``.  Approximate plans get the
+    selected index vector.
+    """
     if plan.window_sel is None:
-        return np.arange(n_windows, dtype=np.int64)
+        return slice(0, n_windows)
     sel = plan.window_sel
     if sel[-1] >= n_windows:
         raise ValueError(
@@ -126,26 +135,10 @@ def _window_indices(plan, n_windows: int):
     return sel
 
 
-def _window_blocks(plan, n_windows: int, rows: int):
-    """Yield ``(idx, count)`` window blocks for one encode pass on ``rows``.
-
-    Exact plans (``window_sel is None``) yield :class:`slice` objects so
-    every downstream gather stays a basic-indexing *view* of ``bins_t``
-    -- fancy ``idx + j`` index arrays cost a materialized copy per
-    window offset, which is the difference between matching and
-    trailing the fused monolith at small ``dim``.  Approximate plans
-    yield the selected index vector in array form.
-    """
-    block = plan.window_block_for(rows)
-    if plan.window_sel is None:
-        for b0 in range(0, n_windows, block):
-            hi = min(b0 + block, n_windows)
-            yield slice(b0, hi), hi - b0
-    else:
-        idx_all = _window_indices(plan, n_windows)
-        for b0 in range(0, len(idx_all), block):
-            idx = idx_all[b0:b0 + block]
-            yield idx, len(idx)
+def _row_tiles(n_rows: int, tile_rows: int):
+    """Row slices of at most ``tile_rows`` covering ``n_rows`` (>= one)."""
+    return [slice(r0, min(r0 + tile_rows, n_rows))
+            for r0 in range(0, max(1, n_rows), tile_rows)]
 
 
 def _shift_index(idx, j: int):
@@ -208,14 +201,13 @@ class NumpyReferenceBackend(Backend):
         if levels is None:
             raise ValueError(f"{self.name} backend needs bipolar level table")
         window = plan.ctx.window
-        n_win = bins.shape[1] - window + 1
-        _window_indices(plan, n_win)  # validates window_sel bounds
-        out = np.zeros((len(bins), plan.ctx.dim), dtype=np.int32)
-        for idx, _ in _window_blocks(plan, n_win, len(bins)):
-            prod = self.xor_fold(levels, bins, idx, window)
+        idx = _window_indices(plan, bins.shape[1] - window + 1)
+        out = np.empty((len(bins), plan.ctx.dim), dtype=np.int32)
+        for rows in _row_tiles(len(bins), plan.tile_rows):
+            prod = self.xor_fold(levels, bins[rows], idx, window)
             if ids is not None:
-                prod = prod * ids[idx][None, :, :]
-            out += self.bundle(prod)
+                prod *= ids[idx][None, :, :]
+            out[rows] = self.bundle(prod)
         return out
 
 
@@ -239,46 +231,58 @@ class PackedUint64Backend(Backend):
 
         return unpack_bits(words, dim)
 
-    def xor_fold(self, kernel, bins_t: np.ndarray, idx: np.ndarray,
+    def xor_fold(self, kernel, bins_t: np.ndarray, idx,
                  fuse_pairs: bool = False) -> np.ndarray:
-        """Gather+XOR one block of windows from the packed tables.
+        """The ``(windows, rows, words)`` fold slab of windows ``idx``.
 
-        ``bins_t`` is the transposed ``(n_features, N)`` bin matrix;
-        ``idx`` the window indices of this block.  With ``fuse_pairs``
-        the planner has fused adjacent permuted level tables into
-        ``rho^j(levels) ^ rho^{j+1}(levels)`` pair tables
-        (:meth:`~repro.core.kernels.GenericPackedKernel.pair_table`),
-        halving the gather+XOR passes over the fold slab.
+        ``bins_t`` is the transposed ``(n_features, rows)`` bin matrix,
+        bins in ``[0, num_levels)`` as the quantizer clips them.  With
+        ``fuse_pairs`` adjacent offsets gather from one pair table
+        (:meth:`~repro.core.kernels.GenericPackedKernel.pair_table`).
+        The first gather writes the slab; later gathers and the id XOR
+        run over ``SLAB // 32``-byte runs of windows through one
+        scratch run, so no slab-sized temp is allocated.
         """
-        window = kernel.window
-        fold: Optional[np.ndarray] = None
+        from repro.core.kernels import SLAB
+
+        gathers = []  # (table (n, words), row index (windows, rows))
         j = 0
-        while j < window:
-            if fuse_pairs and j + 1 < window:
-                pair = kernel.pair_table(j)
-                gathered = pair[bins_t[_shift_index(idx, j)],
-                                bins_t[_shift_index(idx, j + 1)]]
+        while j < kernel.window:
+            index = bins_t[_shift_index(idx, j)]
+            if fuse_pairs and j + 1 < kernel.window:
+                table = kernel.pair_table(j).reshape(-1, kernel.words)
+                index = (index * kernel.num_levels
+                         + bins_t[_shift_index(idx, j + 1)])
                 j += 2
             else:
-                gathered = kernel.tables[j][bins_t[_shift_index(idx, j)]]
+                table = kernel.tables[j]
                 j += 1
-            if fold is None:
-                fold = gathered
-            else:
-                fold ^= gathered
-            # drop the temp before the next gather: keeping it alive
-            # holds a third fold-sized slab during the gather, pushing
-            # the allocator into fresh zero-filled mmaps every pass
-            del gathered
-        if kernel.id_words is not None:
-            fold ^= kernel.id_words[idx, None, :]
+            gathers.append((table, index))
+        table, index = gathers.pop(0)
+        fold = np.take(table, index, axis=0)
+        ids = (None if kernel.id_words is None
+               else kernel.id_words[idx, None, :])
+        if not gathers and ids is None:
+            return fold
+        k = len(fold)
+        run = max(1, (SLAB // 32) // max(1, fold[0].nbytes))
+        scratch = np.empty((min(run, k),) + fold.shape[1:], dtype=np.uint64)
+        for r0 in range(0, k, run):
+            r1 = min(r0 + run, k)
+            part = fold[r0:r1]
+            for table, index in gathers:
+                # mode="clip" lets take() write ``out`` unbuffered
+                part ^= np.take(table, index[r0:r1], axis=0,
+                                out=scratch[:r1 - r0], mode="clip")
+            if ids is not None:
+                part ^= ids[r0:r1]
         return fold
 
     def bundle(self, fold: np.ndarray) -> list:
-        """Carry-save bit planes of the block's per-bit-position counts."""
-        from repro.core.kernels import bit_slice_planes
+        """Carry-save bit planes of one tile's fold, reduced in place."""
+        from repro.core.kernels import reduce_planes
 
-        return bit_slice_planes(fold)
+        return reduce_planes(fold)
 
     def popcount_search(self, query_words: np.ndarray,
                         class_words: np.ndarray) -> np.ndarray:
@@ -289,50 +293,51 @@ class PackedUint64Backend(Backend):
 
     # -- fused plan execution ----------------------------------------------
 
-    def bundle_planes(self, plan, sources: EncodeSources,
-                      bins: np.ndarray):
-        """Fold and bundle every window block: ``(planes, k)``.
+    def _read_tiles(self, plan, sources: EncodeSources, bins: np.ndarray,
+                    readout):
+        """``readout(planes, k)`` of every row tile, stacked by rows.
 
-        ``planes`` are the bit-sliced counts of set bits over the ``k``
-        folded windows, shape ``(N, words)`` each, least significant
-        first.  The call folds :meth:`~repro.core.ir.planner.KernelPlan.
-        window_block_for` windows per block -- as many as keep its fold
-        slab inside the planner's slab budget for these ``N`` rows --
-        and the blocks ripple-add their planes, so both read-outs see
-        one bit-sliced count.
+        Each tile of ``plan.tile_rows`` rows folds all ``k`` windows
+        into one slab that :meth:`bundle` reduces in place.  The planes
+        are views into that slab, so a tile is read out before the next
+        one folds; keeping them would keep every tile's slab alive.
         """
-        from repro.core.kernels import add_planes
-
         kernel = sources.kernel
         if kernel is None:
             raise ValueError(f"{self.name} backend needs a packed kernel")
-        window = kernel.window
-        n_win = bins.shape[1] - window + 1
-        k = len(_window_indices(plan, n_win))
-        # window-major layout: bundling reduces over the leading axis and
-        # every gather/XOR below runs on contiguous (N, W) slabs
-        bins_t = np.ascontiguousarray(bins.T)
-        planes: Optional[list] = None
-        for idx, _ in _window_blocks(plan, n_win, len(bins)):
+        n_win = bins.shape[1] - kernel.window + 1
+        idx = _window_indices(plan, n_win)
+        k = n_win if isinstance(idx, slice) else len(idx)
+        out = None
+        for rows in _row_tiles(len(bins), plan.tile_rows):
+            # window-major layout: bundling reduces over the leading
+            # axis and every gather/XOR runs on contiguous (rows, W) slabs
+            bins_t = np.ascontiguousarray(bins[rows].T)
             fold = self.xor_fold(kernel, bins_t, idx,
                                  fuse_pairs=plan.fuse_pairs)
-            block = self.bundle(fold)
-            del fold  # free the slab before the next block's gather
-            planes = block if planes is None else add_planes(planes, block)
-        # counts never exceed k: planes above its bit length are zero
-        return planes[:k.bit_length()], k
+            part = readout(self.bundle(fold), k)
+            del fold  # free the slab before the next tile's gather
+            if rows.stop - rows.start == len(bins):
+                return part
+            if out is None:
+                out = np.empty((len(bins),) + part.shape[1:], part.dtype)
+            out[rows] = part
+        return out
 
     def encode(self, plan, sources: EncodeSources,
                bins: np.ndarray) -> np.ndarray:
         from repro.core.kernels import plane_counts
 
-        planes, k = self.bundle_planes(plan, sources, bins)
-        ones = plane_counts(planes)[:, :plan.ctx.dim]
-        # bipolar read-out: each of the k bundled windows contributed
-        # +1 (bit clear) or -1 (bit set) per dimension
-        counts = ones * -2
-        counts += k
-        return counts
+        dim = plan.ctx.dim
+
+        def counts(planes, k):
+            # bipolar read-out: each of the k bundled windows contributed
+            # +1 (bit clear) or -1 (bit set) per dimension
+            out = plane_counts(planes)[:, :dim] * -2
+            out += k
+            return out
+
+        return self._read_tiles(plan, sources, bins, counts)
 
     def encode_signs(self, plan, sources: EncodeSources,
                      bins: np.ndarray) -> np.ndarray:
@@ -344,12 +349,15 @@ class PackedUint64Backend(Backend):
         """
         from repro.core.kernels import planes_at_least
 
-        planes, k = self.bundle_planes(plan, sources, bins)
-        words = planes_at_least(planes, k // 2 + 1)
         tail = plan.ctx.dim % 64
-        if tail:  # padding bits above dim stay zero
-            words[:, -1] &= np.uint64((1 << tail) - 1)
-        return words
+
+        def signs(planes, k):
+            words = planes_at_least(planes, k // 2 + 1)
+            if tail:  # padding bits above dim stay zero
+                words[:, -1] &= np.uint64((1 << tail) - 1)
+            return words
+
+        return self._read_tiles(plan, sources, bins, signs)
 
 
 class BackendRegistry:

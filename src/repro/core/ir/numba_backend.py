@@ -86,7 +86,7 @@ class NumbaJitBackend(Backend):
         if kernel is None:
             raise ValueError(f"{self.name} backend needs a packed kernel")
         n_win = bins.shape[1] - kernel.window + 1
-        idx = np.ascontiguousarray(_window_indices(plan, n_win))
+        idx = np.arange(n_win, dtype=np.int64)[_window_indices(plan, n_win)]
         bins_i = np.ascontiguousarray(bins, dtype=np.int64)
         id_words = kernel.id_words
         has_ids = id_words is not None

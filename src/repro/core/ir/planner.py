@@ -12,15 +12,15 @@ approximation level -- the :class:`KernelPlanner` decides
   in-window offsets fuse too -- halving the gather+XOR passes over the
   fold slab;
 - **chunking**: how many samples per encode chunk, and -- on the
-  packed path -- how many windows each call folds per block.  Both
-  come from one fold-slab byte budget, :data:`SLAB`: a chunk holds as
-  many rows as keep its count rows inside the slab, and each call
-  folds as many windows per block as keep *its own* ``(windows, rows,
-  words)`` uint64 fold slab inside it
-  (:meth:`KernelPlan.window_block_for`).  The block is a property of
-  the rows in the call, not of the shape: a 128-row training chunk at
-  ``D=8192`` folds 64-window blocks, a serving batch of <= 32 rows
-  folds all 254 windows in one block;
+  packed path -- how many rows each call folds per tile.  Both come
+  from one fold-slab byte budget, :data:`SLAB`: a chunk holds as many
+  rows as keep its count rows inside the slab, and a tile holds as
+  many rows as keep its ``(windows, rows, words)`` uint64 fold of
+  *every* window inside it (:attr:`KernelPlan.tile_rows`).  A call
+  folds its rows tile by tile and reduces each tile's fold in place
+  with the breadth-first adder of
+  :func:`~repro.core.kernels.reduce_planes`: at ``D=8192`` a serving
+  batch of <= 32 rows is one tile and a 128-row training chunk four;
 - **approximation**: SHEARer-style multifold sampling -- fold only
   ``approx_folds`` evenly spaced windows, with the exact-vs-approx
   error bound surfaced on the plan.
@@ -48,6 +48,7 @@ from repro.core.ir.backends import (
     BackendRegistry,
     EncodeSources,
 )
+from repro.core.kernels import SLAB
 from repro.core.ir.primitives import (
     Bundle,
     Permute,
@@ -70,18 +71,6 @@ __all__ = [
 #: total bytes of encode intermediates per chunk on the bipolar and
 #: JIT backends (matches the historic ``Encoder`` budget)
 CHUNK_BUDGET = 64 * 1024 * 1024
-#: fold-slab byte budget of the packed path.  A chunk holds
-#: ``SLAB // (8 * dim)`` rows (its int32 ones + count rows fit the
-#: slab) and one call on ``rows`` samples folds
-#: ``SLAB // (rows * words * 8)`` windows per block.  8 MiB is a few
-#: L2s: on a 2-vCPU Xeon (2 MiB L2 per core) at D=8192 it took encoding
-#: 2080 training rows from 1.0-1.1 s (114-row chunks, one ~30 MB slab
-#: each) to 0.54-0.67 s (128-row chunks, 64-window blocks), while
-#: serving batches of <= 32 rows keep one block.  A fixed 32-window
-#: block lost ~19% serving throughput in a prototype on that host:
-#: eight small blocks plus their ripple-adds per batch made the
-#: two-thread encode GIL-bound.
-SLAB = 8 * 1024 * 1024
 #: fused pair tables must fit this budget (L^2 x words x 8 per pair)
 PAIR_TABLE_BUDGET = 16 * 1024 * 1024
 #: below this many words per vector, pair fusion loses: the unfused
@@ -89,10 +78,6 @@ PAIR_TABLE_BUDGET = 16 * 1024 * 1024
 #: the pair table's random-access working set (measured on the bench
 #: grid: 0.73x at D=1024, 1.6x+ at D>=4096)
 PAIR_FUSION_MIN_WORDS = 32
-
-
-#: backends that fold every window of a call in one block
-_UNBLOCKED_BACKENDS = ("numpy-reference", "numba-jit")
 
 
 def select_windows(n_windows: int, folds: Optional[int]) -> Optional[np.ndarray]:
@@ -155,9 +140,9 @@ class KernelPlan:
     backend_name: str
     steps: Tuple[Primitive, ...]
     window_sel: Optional[np.ndarray]
-    #: the most windows one block may fold; the packed backend folds
-    #: :meth:`window_block_for` (rows in the call) windows per block
-    window_block: int
+    #: rows per tile: a call folds every window of ``tile_rows`` rows
+    #: at a time and reads each tile out before folding the next
+    tile_rows: int
     fuse_pairs: bool
     bytes_per_sample: int
     chunk_samples: int
@@ -189,23 +174,6 @@ class KernelPlan:
     def folds(self) -> int:
         return self.ctx.active_folds
 
-    def window_block_for(self, rows: int) -> int:
-        """Windows folded per block in a call on ``rows`` samples.
-
-        Packed plans fold as many windows as keep the call's uint64
-        fold slab (``rows x words x 8`` bytes per window) inside
-        :data:`SLAB`, at most :attr:`window_block`, spread evenly over
-        the blocks that takes (254 windows under a 72-window limit fold
-        64+64+64+62, not 72+72+72+38).  The bipolar and JIT backends
-        fold :attr:`window_block` windows per block.
-        """
-        if self.backend_name in _UNBLOCKED_BACKENDS:
-            return self.window_block
-        fit = SLAB // max(1, rows * self.ctx.words * 8)
-        limit = max(1, min(self.window_block, fit))
-        n_blocks = -(-self.folds // limit)
-        return -(-self.folds // n_blocks)
-
     def op_counts(self, n_samples: int = 1) -> Dict[str, Dict[str, int]]:
         """Per-primitive op metadata for ``n_samples`` inputs."""
         out: Dict[str, Dict[str, int]] = {}
@@ -229,7 +197,7 @@ class KernelPlan:
         """Human-readable rendering of every planner decision."""
         ctx = self.ctx
         n_win = ctx.n_windows
-        block = self.window_block_for(self.chunk_samples)
+        tiles = -(-self.chunk_samples // self.tile_rows)
         lines = [
             f"KernelPlan[{self.backend_name}]",
             f"  shape    : n_features={ctx.n_features} window={ctx.window} "
@@ -245,9 +213,8 @@ class KernelPlan:
             + "; pair tables "
             + ("ON (adjacent offsets fused)" if self.fuse_pairs else "off"),
             f"  chunking : {self.chunk_samples} samples/chunk "
-            f"({self.bytes_per_sample} B/sample), window block "
-            + (f"{block} at a full chunk (sized per call)"
-               if block < self.folds else f"{self.folds} (single block)"),
+            f"({self.bytes_per_sample} B/sample), {self.tile_rows} rows/tile "
+            f"({tiles} tile{'s' if tiles > 1 else ''} per full chunk)",
         ]
         if self.error_bound is not None:
             eb = self.error_bound
@@ -323,17 +290,15 @@ class KernelPlanner:
         )
         words = ctx.words
 
-        chunk_samples = None
+        tile_rows = None
         if backend_name == "numpy-reference":
             fuse_pairs = False
-            window_block = folds
             # level gather, rolled copy, running product and the bound
             # result all materialize at (folds, dim) int8 scale
             bytes_per_sample = folds * request.dim * (request.window + 1)
             permute = Permute(fused=False)
         elif backend_name == "numba-jit":
             fuse_pairs = False  # the JIT loop is already fully fused
-            window_block = folds
             bytes_per_sample = 8 * request.dim  # ones + out rows only
             permute = Permute(fused=True)
         else:  # packed-uint64 and packed-compatible plug-ins
@@ -345,22 +310,20 @@ class KernelPlanner:
                 and words >= PAIR_FUSION_MIN_WORDS
                 and n_pairs * pair_bytes <= PAIR_TABLE_BUDGET
             )
-            # the uint64 words one row adds to the fold slab per window,
-            # and its int32 ones + count rows
-            window_bytes = words * 8
+            # one row's uint64 fold of every window, and its int32 ones
+            # + count rows
+            fold_bytes = folds * words * 8
             row_bytes = 8 * request.dim
-            # a cap only when one row's fold of every window overflows
-            # the slab; calls block by their rows (window_block_for)
-            window_block = max(1, min(folds, SLAB // window_bytes))
+            tile_rows = max(1, SLAB // fold_bytes)
             chunk_samples = max(1, SLAB // row_bytes)
-            full_block = max(1, min(window_block,
-                                    SLAB // (chunk_samples * window_bytes)))
-            # fold slab + gather temp per (sample, window) at a full
+            # one tile's fold (bundled in place) spread over a full
             # chunk, plus the count rows
-            bytes_per_sample = 2 * full_block * window_bytes + row_bytes
+            tile = min(tile_rows, chunk_samples)
+            bytes_per_sample = tile * fold_bytes // chunk_samples + row_bytes
 
-        if chunk_samples is None:
+        if tile_rows is None:
             chunk_samples = max(1, CHUNK_BUDGET // max(1, bytes_per_sample))
+            tile_rows = chunk_samples
 
         error_bound = None
         if sel is not None:
@@ -381,7 +344,7 @@ class KernelPlanner:
             backend_name=backend_name,
             steps=steps,
             window_sel=sel,
-            window_block=window_block,
+            tile_rows=tile_rows,
             fuse_pairs=fuse_pairs,
             bytes_per_sample=int(bytes_per_sample),
             chunk_samples=int(chunk_samples),

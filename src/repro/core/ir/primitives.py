@@ -25,7 +25,7 @@ The nodes (one encode/search pipeline, in order)::
   features and fold them with XOR; binding the per-window id is one
   more XOR in the same loop.
 - :class:`Bundle` -- accumulate per-bit-position counts across windows
-  (the carry-save adder tree of ``bit_slice_planes``).
+  (breadth-first carry-save adders, in place, in ``reduce_planes``).
 - :class:`PopcountSearch` -- Hamming distance of a packed query to
   every packed class vector (XOR + popcount), the associative-search
   primitive of the inference stage.
@@ -198,7 +198,13 @@ class XorFold(Primitive):
 
 @dataclass(frozen=True, repr=False)
 class Bundle(Primitive):
-    """Per-bit-position counts across windows (carry-save adder tree)."""
+    """Per-bit-position counts across windows, as carry-save bit planes.
+
+    The packed backend bundles one row tile's ``(windows, rows, words)``
+    fold at a time with :func:`~repro.core.kernels.reduce_planes`:
+    breadth-first adder stages, each a few whole-stack calls over
+    L2-sized runs, that write sums and carries back into the fold.
+    """
 
     name = "bundle"
 

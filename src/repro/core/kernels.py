@@ -14,10 +14,10 @@ This module is that software fast path:
   ``uint64`` words (64 dimensions per word, little bit order);
 - :func:`popcount` / :func:`popcount_words` -- fast population count
   (``np.bitwise_count`` on NumPy >= 2.0, a byte lookup table otherwise);
-- :func:`bit_slice_planes` -- bundling without unpacking every window:
-  a carry-save adder tree reduces ``k`` packed slabs to the
-  ``k.bit_length()`` bit planes of the per-bit-position count;
-  :func:`add_planes` ripple-adds two such counts (window blocks);
+- :func:`reduce_planes` -- bundling without unpacking every window:
+  breadth-first carry-save adder stages reduce ``k`` packed slabs, in
+  place, to the ``k.bit_length()`` bit planes of the per-bit-position
+  count (:func:`bit_slice_planes` does the same on a copy);
 - two read-outs of the same planes: :func:`plane_counts` (int32
   counts, accumulated in the narrowest type that holds ``k``) and
   :func:`planes_at_least`, a bit-sliced comparator.  A binary query's
@@ -116,13 +116,76 @@ def packed_hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 # -- bit-slice bundling ------------------------------------------------------
 # Bundling counts, per bit position, how many of ``m`` packed word slabs
-# have that bit set.  A carry-save adder tree folds three same-weight
-# slabs into a sum plus a carry of double weight (two XORs and three
-# AND/ORs per word), so the count comes out *bit-sliced*: plane ``b``
-# holds bit ``b`` of every position's count, ``m.bit_length()`` planes
-# in all.  Two read-outs consume the same planes -- :func:`plane_counts`
-# (the int32 counts training needs) and :func:`planes_at_least` (the
-# sign words a binary query needs, never leaving the packed domain).
+# have that bit set.  A carry-save full adder folds three same-weight
+# slabs into a sum plus a carry of double weight, so the count comes out
+# *bit-sliced*: plane ``b`` holds bit ``b`` of every position's count,
+# ``m.bit_length()`` planes in all.  Two read-outs consume the same
+# planes -- :func:`plane_counts` (the int32 counts training needs) and
+# :func:`planes_at_least` (the sign words a binary query needs, never
+# leaving the packed domain).
+
+#: fold-slab byte budget of the packed path.  The planner sizes a chunk
+#: at ``SLAB // (8 * dim)`` rows (its int32 ones + count rows fit the
+#: slab) and a tile at ``SLAB // (folds * words * 8)`` rows (its fold of
+#: every window fits), and :func:`reduce_planes` and the packed fold run
+#: in ``SLAB // 32``-byte (256 KiB, L2-sized) runs.  8 MiB is a few L2s:
+#: on a 2-vCPU Xeon (2 MiB L2 per core) at D=8192 a tile is 32 rows, so
+#: a serving batch is one tile and a 128-row training chunk four.
+SLAB = 8 * 1024 * 1024
+
+
+def reduce_planes(slabs: np.ndarray, run: Optional[int] = None) -> list:
+    """Carry-save bit planes of ``slabs`` (``(m, ..., W)`` uint64), in place.
+
+    Breadth-first: a stage adds every same-weight triple with five
+    ``out=`` calls per run of ``run`` triples (default: as many slabs as
+    fit ``SLAB // 32`` bytes).  A stage lays its pool out as ``[a | rest
+    | b | c]`` and writes sums over ``b``, carries over ``c``: the next
+    pool ``[rest | sums]`` stays contiguous and each stage's carries
+    land just below the last's.  A weight's last slab is its plane; the
+    carries above it are the next weight's pool.  ``slabs`` is consumed
+    and the ``m.bit_length()`` planes (least significant first) are
+    views into it; one run of scratch is the only other memory.
+    """
+    if slabs.ndim < 2 or slabs.dtype != np.uint64:
+        raise ValueError(f"expected (m, ..., W) uint64 slabs, got "
+                         f"{slabs.dtype} {slabs.shape}")
+    m = len(slabs)
+    if run is None:
+        slab_bytes = slabs[0].nbytes if m else 1
+        run = max(1, (SLAB // 32) // max(1, slab_bytes))
+    scratch = np.empty((min(run, m // 3 or 1),) + slabs.shape[1:],
+                       dtype=np.uint64)
+    planes = []
+    lo = 0
+    while lo < m:
+        n = m - lo  # this weight's pool: slabs[lo:lo + n]
+        while n >= 3:
+            n3, rest = divmod(n, 3)
+            b0 = lo + n3 + rest
+            c0 = b0 + n3
+            for i in range(0, n3, run):
+                j = min(i + run, n3)
+                a = slabs[lo + i:lo + j]
+                b = slabs[b0 + i:b0 + j]
+                c = slabs[c0 + i:c0 + j]
+                t = scratch[:j - i]
+                np.bitwise_and(a, b, out=t)
+                a ^= b
+                np.bitwise_xor(a, c, out=b)  # sum
+                c &= a
+                c |= t  # carry
+            lo += n3
+            n = n3 + rest
+        if n == 2:  # half adder: carry over the upper slab
+            t = scratch[0]
+            np.bitwise_and(slabs[lo], slabs[lo + 1], out=t)
+            slabs[lo] ^= slabs[lo + 1]
+            slabs[lo + 1] = t
+        planes.append(slabs[lo])
+        lo += 1
+    return planes
+
 
 def bit_slice_planes(words: np.ndarray) -> list:
     """Carry-save bit planes of the per-bit-position count over axis 0.
@@ -133,61 +196,12 @@ def bit_slice_planes(words: np.ndarray) -> list:
     ``m`` slabs have bit ``k`` set.  Only ~log2(m) planes are ever
     materialized -- the software analogue of the bit-serial
     accumulators HDC accelerators bundle with.  ``words`` is not
-    modified, but for ``m = 1`` the single plane is a view of it.
+    modified: :func:`reduce_planes` runs on a copy.
     """
     words = np.asarray(words, dtype=np.uint64)
     if words.ndim < 2:
         raise ValueError(f"expected (m, ..., W) packed words, got {words.shape}")
-    planes = []
-    level = [words[i] for i in range(len(words))]
-    while level:
-        carries = []
-        pool = level
-        while len(pool) >= 3:
-            a = pool.pop()
-            b = pool.pop()
-            c = pool.pop()
-            ab = a ^ b
-            pool.append(ab ^ c)
-            carries.append((a & b) | (ab & c))
-        if len(pool) == 2:
-            a = pool.pop()
-            b = pool.pop()
-            pool.append(a ^ b)
-            carries.append(a & b)
-        planes.append(pool[0])
-        level = carries
-    return planes
-
-
-def add_planes(a: list, b: list) -> list:
-    """Ripple-carry sum of two bit-sliced counts (planes LSB first).
-
-    Returns up to ``max(len(a), len(b)) + 1`` planes; callers that know
-    the sum's bound may drop the provably-zero top planes.
-    """
-    if len(a) < len(b):
-        a, b = b, a
-    out = []
-    carry = None
-    for i, x in enumerate(a):
-        if i < len(b):
-            y = b[i]
-            s = x ^ y
-            c = x & y
-            if carry is not None:
-                c |= s & carry
-                s ^= carry
-        elif carry is not None:
-            s = x ^ carry
-            c = x & carry
-        else:
-            s, c = x, None
-        out.append(s)
-        carry = c
-    if carry is not None:
-        out.append(carry)
-    return out
+    return reduce_planes(words.copy())
 
 
 def plane_counts(planes: list) -> np.ndarray:
@@ -286,8 +300,8 @@ class GenericPackedKernel:
       (one packed gather + in-place XOR per offset: memory reuse);
     - id binding is one more broadcast XOR (skipped entirely for
       identity ids, where the reference path still multiplies by ones);
-    - bundling runs through :func:`bit_slice_planes`, and the bipolar
-      counts fall out as ``n_windows - 2 * ones``.
+    - bundling runs through :func:`reduce_planes` on the fold slab,
+      and the bipolar counts fall out as ``n_windows - 2 * ones``.
     """
 
     def __init__(
@@ -438,7 +452,7 @@ class GenericPackedKernel:
             fold ^= self.tables[j][bins_t[j : j + n_win]]
         if self.id_words is not None:
             fold ^= self.id_words[:n_win, None, :]
-        ones = bit_slice_counts(fold)
+        ones = plane_counts(reduce_planes(fold))
         return (n_win - 2 * ones[:, : self.dim]).astype(np.int32)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.clustering import HDCluster
+from repro.core.config import ComputeConfig
 from repro.core.encoders import GenericEncoder
 from repro.eval.metrics import normalized_mutual_information
 
@@ -89,7 +90,7 @@ class TestClusterEngineControls:
         X, _ = blobs
         serial = HDCluster(GenericEncoder(dim=DIM, seed=1), k=3, epochs=5).fit(X)
         fanned = HDCluster(GenericEncoder(dim=DIM, seed=1), k=3, epochs=5,
-                           encode_jobs=2).fit(X)
+                           config=ComputeConfig(encode_jobs=2)).fit(X)
         assert np.array_equal(serial.labels_, fanned.labels_)
         assert np.array_equal(serial.centroids_, fanned.centroids_)
         assert np.array_equal(serial.predict(X[:20]), fanned.predict(X[:20]))
@@ -97,15 +98,17 @@ class TestClusterEngineControls:
     def test_engine_forwarded_to_encoder(self, blobs):
         X, _ = blobs
         enc = GenericEncoder(dim=DIM, seed=1)
-        clu = HDCluster(enc, k=3, epochs=3, engine="reference")
+        clu = HDCluster(enc, k=3, epochs=3,
+                        config=ComputeConfig(engine="reference"))
         assert enc.engine == "reference"
         ref_labels = clu.fit(X).labels_
         enc2 = GenericEncoder(dim=DIM, seed=1)
-        packed = HDCluster(enc2, k=3, epochs=3, engine="packed").fit(X)
+        packed = HDCluster(enc2, k=3, epochs=3,
+                           config=ComputeConfig(engine="packed")).fit(X)
         assert np.array_equal(ref_labels, packed.labels_)
 
     def test_engine_rejected_without_support(self):
         class Plain:
             fitted = True
         with pytest.raises(ValueError, match="selectable engine"):
-            HDCluster(Plain(), k=2, engine="packed")
+            HDCluster(Plain(), k=2, config=ComputeConfig(engine="packed"))

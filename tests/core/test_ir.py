@@ -346,7 +346,7 @@ class TestSignReadout:
         ngram=st.booleans(),
         engine=st.sampled_from(["packed", "reference"]),
         fold_frac=st.one_of(st.none(), st.floats(0.05, 1.0)),
-        window_block=st.one_of(st.none(), st.integers(1, 5)),
+        tile_rows=st.one_of(st.none(), st.integers(1, 5)),
         n_jobs=st.sampled_from([None, 2]),
         n_samples=st.integers(min_value=1, max_value=9),
         seed=st.integers(min_value=0, max_value=2**16),
@@ -354,7 +354,7 @@ class TestSignReadout:
     @settings(max_examples=80, deadline=None)
     def test_signs_equal_packed_sign_of_counts(
         self, dim, window, extra_feats, use_ids, ngram, engine, fold_frac,
-        window_block, n_jobs, n_samples, seed,
+        tile_rows, n_jobs, n_samples, seed,
     ):
         n_features = window + extra_feats
         n_windows = extra_feats + 1
@@ -370,10 +370,10 @@ class TestSignReadout:
                                           window=window, use_ids=use_ids,
                                           engine=e, approx_folds=folds)
         enc = mk(engine).fit(X)
-        if window_block is not None:
-            # force window blocking: every block's planes ripple-add
+        if tile_rows is not None:
+            # force row tiling: each tile is folded and read out alone
             enc._plan = dataclasses.replace(enc.encode_plan(),
-                                            window_block=window_block)
+                                            tile_rows=tile_rows)
         chunk = 2 if n_jobs else None
         signs = enc.encode_signs_packed(X, chunk=chunk, n_jobs=n_jobs)
         assert signs.dtype == np.uint64
@@ -397,20 +397,25 @@ class TestSignReadout:
         assert not (enc.encode_signs_packed(X)[:, -1] >> np.uint64(36)).any()
 
     def test_planner_window_blocking(self):
-        # a call whose rows make the planner block the window axis: 24
-        # rows x 400 windows x 166 words overflow the fold slab
-        X = np.random.default_rng(5).normal(size=(24, 402))
+        # a shape whose planned tile is a few rows: 400 windows x 166
+        # words fold 531 KB per row, so a tile holds 15 rows
+        X = np.random.default_rng(5).normal(size=(34, 402))
         enc = GenericEncoder(dim=10563, num_levels=4, seed=5,
                              engine="packed").fit(X)
-        plan = enc.encode_plan()
-        assert plan.window_block_for(len(X)) < plan.folds
-        np.testing.assert_array_equal(
-            enc.encode_signs_packed(X), _signs_of(enc.encode_batch(X))
-        )
+        tile = enc.encode_plan().tile_rows
+        assert 1 < tile < len(X) // 2
         ref = GenericEncoder(dim=10563, num_levels=4, seed=5,
                              engine="reference").fit(X)
-        np.testing.assert_array_equal(enc.encode_batch(X),
-                                      ref.encode_batch(X))
+        ref_counts = ref.encode_batch(X)
+        for rows in (tile - 1, tile, tile + 1):
+            # one call on ``rows`` rows, or two threaded calls on as many
+            for n, n_jobs in ((rows, 1), (2 * rows, 2)):
+                counts = enc.encode_batch(X[:n], chunk=rows, n_jobs=n_jobs)
+                np.testing.assert_array_equal(counts, ref_counts[:n])
+                signs = enc.encode_signs_packed(X[:n], chunk=rows,
+                                                n_jobs=n_jobs)
+                np.testing.assert_array_equal(signs,
+                                              _signs_of(ref_counts[:n]))
 
     def test_encode_span_identical_for_both_read_outs(self):
         from repro.obs import trace as obs_trace
@@ -433,7 +438,7 @@ class TestSignReadout:
 
 
 class TestPerCallWindowBlocks:
-    """Window blocks sized by the rows in each call stay bit-identical."""
+    """Row tiles of a call stay bit-identical at every tile boundary."""
 
     DIM = 200  # not a multiple of 64: the sign words carry padding bits
 
@@ -451,39 +456,58 @@ class TestPerCallWindowBlocks:
         return mk("packed"), ref.encode_batch(data)
 
     @staticmethod
-    def _boundary(plan) -> int:
-        """Fewest rows whose call folds the windows in more than one block."""
+    def _tile(plan) -> int:
+        """Rows per tile: the most whose fold of every window fits the slab."""
         from repro.core.ir.planner import SLAB
 
-        rows = SLAB // (plan.folds * plan.ctx.words * 8) + 1
-        assert plan.window_block_for(rows) < plan.folds
-        assert plan.window_block_for(rows - 1) == plan.folds
-        return rows
+        fold_row = plan.folds * plan.ctx.words * 8
+        assert plan.tile_rows == SLAB // fold_row
+        return plan.tile_rows
 
     def test_block_shrinks_as_rows_grow(self, encoders):
-        packed, _ = encoders
-        plan = packed.encode_plan()
-        assert plan.window_block_for(1) == plan.folds
-        assert plan.window_block_for(32) == plan.folds
-        blocks = [plan.window_block_for(r) for r in (1, 32, 500, 2080, 9000)]
-        assert blocks == sorted(blocks, reverse=True)
+        from repro.core.ir.backends import _row_tiles
+
+        tile = self._tile(encoders[0].encode_plan())
+        for rows in (0, 1, 32, tile - 1, tile, tile + 1, 3 * tile + 5):
+            tiles = _row_tiles(rows, tile)
+            assert len(tiles) == max(1, -(-rows // tile))
+            assert tiles[0].start == 0 and tiles[-1].stop == rows
+            assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
+            assert all(t.stop - t.start <= tile for t in tiles)
 
     @pytest.mark.parametrize("n_jobs", [None, 2])
     def test_counts_and_signs_around_the_slab_boundary(
         self, encoders, data, n_jobs,
     ):
         packed, ref_counts = encoders
-        b = self._boundary(packed.encode_plan())
-        for rows in (1, 32, b - 1, b, b + 1, len(data)):
-            X = data[:rows]
-            # one call on all rows, or two threaded calls on halves
-            chunk = rows if n_jobs is None else -(-rows // 2)
-            counts = packed.encode_batch(X, chunk=chunk, n_jobs=n_jobs)
-            np.testing.assert_array_equal(counts, ref_counts[:rows])
-            signs = packed.encode_signs_packed(X, chunk=chunk, n_jobs=n_jobs)
-            np.testing.assert_array_equal(signs, _signs_of(ref_counts[:rows]))
+        t = self._tile(packed.encode_plan())
+        for rows in (1, 32, t - 1, t, t + 1, len(data)):
+            # one call on ``rows`` rows, or two threaded calls on as many
+            n = rows if n_jobs is None else min(2 * rows, len(data))
+            X = data[:n]
+            counts = packed.encode_batch(X, chunk=rows, n_jobs=n_jobs)
+            np.testing.assert_array_equal(counts, ref_counts[:n])
+            signs = packed.encode_signs_packed(X, chunk=rows, n_jobs=n_jobs)
+            np.testing.assert_array_equal(signs, _signs_of(ref_counts[:n]))
 
-    def test_training_chunk_folds_blocks(self, encoders):
-        # the planned chunk is itself past the boundary at this shape
-        plan = encoders[0].encode_plan()
-        assert plan.window_block_for(plan.chunk_samples) < plan.folds
+    def test_training_chunk_folds_blocks(self, encoders, data, monkeypatch):
+        # a full planned chunk is folded ceil(chunk / tile_rows) tiles apart
+        from repro.core.ir.backends import PackedUint64Backend
+
+        packed, _ = encoders
+        plan = packed.encode_plan()
+        tiles = -(-plan.chunk_samples // plan.tile_rows)
+        assert tiles > 1
+        sizes = []
+        bundle = PackedUint64Backend.bundle
+
+        def counting_bundle(self, fold):
+            sizes.append(fold.shape[1])
+            return bundle(self, fold)
+
+        monkeypatch.setattr(PackedUint64Backend, "bundle", counting_bundle)
+        X = np.resize(data, (plan.chunk_samples, data.shape[1]))
+        packed.encode_signs_packed(X, n_jobs=1)
+        assert len(sizes) == tiles
+        assert sum(sizes) == plan.chunk_samples
+        assert max(sizes) == plan.tile_rows

@@ -18,14 +18,15 @@ from repro.core.encoders import GenericEncoder, NgramEncoder
 from repro.core.encoders.base import _CHUNK_BUDGET
 from repro.core.jobs import resolve_jobs, usable_cpus
 from repro.core.kernels import (
+    SLAB,
     GenericPackedKernel,
-    add_planes,
     bit_slice_counts,
     bit_slice_planes,
     pack_bits,
     plane_counts,
     planes_at_least,
     popcount,
+    reduce_planes,
     popcount_words,
     unpack_bits,
     _popcount_words_lut,
@@ -143,10 +144,11 @@ class TestParallelPipeline:
     def test_classifier_encode_jobs(self, toy_problem):
         X_train, y_train, X_test, _ = toy_problem
         from repro.core.classifier import HDClassifier
+        from repro.core.config import ComputeConfig
 
         mk = lambda jobs: HDClassifier(
             GenericEncoder(dim=128, num_levels=8, seed=5),
-            epochs=2, seed=5, encode_jobs=jobs,
+            epochs=2, seed=5, config=ComputeConfig(encode_jobs=jobs),
         ).fit(X_train, y_train)
         assert np.array_equal(mk(None).predict(X_test), mk(2).predict(X_test))
 
@@ -366,23 +368,17 @@ class TestBitPlanes:
 
     @given(
         m=st.integers(min_value=1, max_value=300),
-        split=st.floats(min_value=0.0, max_value=1.0),
+        run=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
         seed=SEEDS,
     )
     @settings(max_examples=40, deadline=None)
-    def test_comparator_matches_counts(self, m, split, seed):
+    def test_comparator_matches_counts(self, m, run, seed):
         words = np.random.default_rng(seed).integers(
             0, 2**64, size=(m, 2, 3), dtype=np.uint64
         )
         counts = _true_counts(words)
-        planes = bit_slice_planes(words)
-        # block-wise planes ripple-added read out the same counts
-        cut = int(split * m)
-        if 0 < cut < m:
-            summed = add_planes(bit_slice_planes(words[:cut]),
-                                bit_slice_planes(words[cut:]))
-            np.testing.assert_array_equal(plane_counts(summed), counts)
-            planes = summed
+        planes = reduce_planes(words.copy(), run=run)
+        np.testing.assert_array_equal(plane_counts(planes), counts)
         for t in (0, 1, m // 2, m // 2 + 1, m, m + 1):
             got = unpack_bits(planes_at_least(planes, t), 3 * 64)
             np.testing.assert_array_equal(got, counts >= t)
@@ -396,6 +392,64 @@ class TestBitPlanes:
         np.testing.assert_array_equal(top, planes[7])
         top[:] = 0
         assert planes[7].any()
+
+
+class TestInPlaceReducer:
+    """``reduce_planes``: breadth-first adder stages on a consumed slab."""
+
+    @given(
+        m=st.integers(min_value=0, max_value=300),
+        rows=st.integers(min_value=1, max_value=3),
+        n_words=st.integers(min_value=1, max_value=3),
+        run=st.sampled_from(["one", "stage", "default"]),
+        seed=SEEDS,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_planes_equal_the_oracle(self, m, rows, n_words, run, seed):
+        # m spans stage remainders 0, 1 and 2; a run of one slab per call
+        # and a run covering a whole stage bracket the default 256 KiB run
+        words = np.random.default_rng(seed).integers(
+            0, 2**64, size=(m, rows, n_words), dtype=np.uint64
+        )
+        expected = _true_counts(words)
+        per_call = {"one": 1, "stage": max(1, m), "default": None}[run]
+        planes = reduce_planes(words.copy(), run=per_call)
+        assert len(planes) == m.bit_length()
+        if m:
+            np.testing.assert_array_equal(plane_counts(planes), expected)
+
+    def test_rejects_non_uint64_or_flat_input(self):
+        with pytest.raises(ValueError):
+            reduce_planes(np.zeros((3, 2), dtype=np.int64))
+        with pytest.raises(ValueError):
+            reduce_planes(np.zeros(4, dtype=np.uint64))
+
+    def test_tiles_do_not_pile_up(self):
+        # a 4-tile call reads each tile out before folding the next, so
+        # its peak is one tile's working set plus the call's output rows
+        import tracemalloc
+
+        X = _data(9, 128, 256)
+        enc = GenericEncoder(dim=8192, num_levels=16, seed=9,
+                             engine="packed").fit(X)
+        plan = enc.encode_plan()
+        tile = plan.tile_rows
+        assert plan.folds * plan.ctx.words * 8 * tile <= SLAB
+        kernel = enc._current_kernel()
+        bins = enc.quantizer.transform(_data(10, 4 * tile, 256))
+
+        def peak(b):
+            kernel.encode_bins(b, plan=plan)  # warm
+            tracemalloc.start()
+            try:
+                kernel.encode_bins(b, plan=plan)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, four = peak(bins[:tile]), peak(bins)
+        out_rows = len(bins) * plan.ctx.dim * 4
+        assert four <= 1.25 * one + out_rows, (one, four, out_rows)
 
 
 class TestKernelValidation:

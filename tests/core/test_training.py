@@ -35,11 +35,11 @@ def _workload(n=160, n_features=8, n_classes=5, noise=0.3, seed=3):
 
 
 def _fit(engine, metric="cosine", shuffle=True, use_ids=True,
-         cls=HDClassifier, epochs=6, dim=256, **kwargs):
+         cls=HDClassifier, epochs=6, dim=256, **compute):
     X, y = _workload()
     enc = GenericEncoder(dim=dim, num_levels=16, seed=2, use_ids=use_ids)
     clf = cls(enc, epochs=epochs, metric=metric, shuffle=shuffle, seed=9,
-              train_engine=engine, **kwargs)
+              config=ComputeConfig(train_engine=engine, **compute))
     clf.fit(X, y)
     return clf
 
@@ -209,7 +209,7 @@ class TestPlanning:
     def test_invalid_engine_rejected(self):
         enc = GenericEncoder(dim=128, num_levels=4, seed=0)
         with pytest.raises(ValueError, match="train engine"):
-            HDClassifier(enc, train_engine="turbo")
+            HDClassifier(enc, config=ComputeConfig(train_engine="turbo"))
         with pytest.raises(ValueError, match="train engine"):
             plan_retraining(np.ones((4, 8)), 2, 1, engine="turbo")
 
