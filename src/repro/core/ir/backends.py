@@ -235,8 +235,8 @@ class PackedUint64Backend(Backend):
                  fuse_pairs: bool = False) -> np.ndarray:
         """The ``(windows, rows, words)`` fold slab of windows ``idx``.
 
-        ``bins_t`` is the transposed ``(n_features, rows)`` bin matrix,
-        bins in ``[0, num_levels)`` as the quantizer clips them.  With
+        ``bins_t`` is the transposed ``(n_features, rows)`` intp bin
+        matrix, bins in ``[0, num_levels)`` (checked by the caller).  With
         ``fuse_pairs`` adjacent offsets gather from one pair table
         (:meth:`~repro.core.kernels.GenericPackedKernel.pair_table`).
         The first gather writes the slab; later gathers and the id XOR
@@ -311,8 +311,16 @@ class PackedUint64Backend(Backend):
         out = None
         for rows in _row_tiles(len(bins), plan.tile_rows):
             # window-major layout: bundling reduces over the leading
-            # axis and every gather/XOR runs on contiguous (rows, W) slabs
-            bins_t = np.ascontiguousarray(bins[rows].T)
+            # axis and every gather/XOR runs on contiguous (rows, W) slabs;
+            # intp so a fused pair index cannot wrap in a narrow dtype
+            bins_t = bins[rows].T.astype(np.intp, order="C",
+                                         casting="same_kind")
+            if bins_t.size and (bins_t.min() < 0
+                                or bins_t.max() >= kernel.num_levels):
+                # clipped gathers and fused pair indices would not raise
+                raise IndexError(
+                    f"bins must lie in [0, {kernel.num_levels}), got "
+                    f"[{int(bins_t.min())}, {int(bins_t.max())}]")
             fold = self.xor_fold(kernel, bins_t, idx,
                                  fuse_pairs=plan.fuse_pairs)
             part = readout(self.bundle(fold), k)

@@ -134,12 +134,12 @@ def packed_hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 SLAB = 8 * 1024 * 1024
 
 
-def reduce_planes(slabs: np.ndarray, run: Optional[int] = None) -> list:
+def reduce_planes(slabs: np.ndarray) -> list:
     """Carry-save bit planes of ``slabs`` (``(m, ..., W)`` uint64), in place.
 
     Breadth-first: a stage adds every same-weight triple with five
-    ``out=`` calls per run of ``run`` triples (default: as many slabs as
-    fit ``SLAB // 32`` bytes).  A stage lays its pool out as ``[a | rest
+    ``out=`` calls per run of triples (as many slabs as fit
+    ``SLAB // 32`` bytes).  A stage lays its pool out as ``[a | rest
     | b | c]`` and writes sums over ``b``, carries over ``c``: the next
     pool ``[rest | sums]`` stays contiguous and each stage's carries
     land just below the last's.  A weight's last slab is its plane; the
@@ -151,9 +151,7 @@ def reduce_planes(slabs: np.ndarray, run: Optional[int] = None) -> list:
         raise ValueError(f"expected (m, ..., W) uint64 slabs, got "
                          f"{slabs.dtype} {slabs.shape}")
     m = len(slabs)
-    if run is None:
-        slab_bytes = slabs[0].nbytes if m else 1
-        run = max(1, (SLAB // 32) // max(1, slab_bytes))
+    run = max(1, (SLAB // 32) // max(1, slabs[0].nbytes if m else 1))
     scratch = np.empty((min(run, m // 3 or 1),) + slabs.shape[1:],
                        dtype=np.uint64)
     planes = []

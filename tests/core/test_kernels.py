@@ -8,12 +8,14 @@ change.
 
 import os
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.kernels as kernels_mod
 from repro.core.encoders import GenericEncoder, NgramEncoder
 from repro.core.encoders.base import _CHUNK_BUDGET
 from repro.core.jobs import resolve_jobs, usable_cpus
@@ -367,20 +369,32 @@ class TestBitPlanes:
         np.testing.assert_array_equal(weights, _true_counts(words))
 
     @given(
-        m=st.integers(min_value=1, max_value=300),
-        run=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
+        m=st.integers(min_value=0, max_value=300),
+        rows=st.integers(min_value=1, max_value=3),
+        n_words=st.integers(min_value=1, max_value=3),
+        run=st.sampled_from(["one", "stage", "default"]),
         seed=SEEDS,
     )
-    @settings(max_examples=40, deadline=None)
-    def test_comparator_matches_counts(self, m, run, seed):
+    @settings(max_examples=80, deadline=None)
+    def test_comparator_matches_counts(self, m, rows, n_words, run, seed):
+        # m spans stage remainders 0, 1 and 2; shrinking SLAB forces a
+        # run of one slab per call or of a whole stage, bracketing the
+        # default SLAB // 32 run
         words = np.random.default_rng(seed).integers(
-            0, 2**64, size=(m, 2, 3), dtype=np.uint64
+            0, 2**64, size=(m, rows, n_words), dtype=np.uint64
         )
         counts = _true_counts(words)
-        planes = reduce_planes(words.copy(), run=run)
+        slab_bytes = rows * n_words * 8
+        slab = {"one": 32, "stage": 32 * max(1, m) * slab_bytes,
+                "default": SLAB}[run]
+        with mock.patch.object(kernels_mod, "SLAB", slab):
+            planes = reduce_planes(words.copy())
+        assert len(planes) == m.bit_length()
+        if not m:
+            return
         np.testing.assert_array_equal(plane_counts(planes), counts)
         for t in (0, 1, m // 2, m // 2 + 1, m, m + 1):
-            got = unpack_bits(planes_at_least(planes, t), 3 * 64)
+            got = unpack_bits(planes_at_least(planes, t), n_words * 64)
             np.testing.assert_array_equal(got, counts >= t)
 
     def test_comparator_returns_fresh_words(self):
@@ -396,27 +410,6 @@ class TestBitPlanes:
 
 class TestInPlaceReducer:
     """``reduce_planes``: breadth-first adder stages on a consumed slab."""
-
-    @given(
-        m=st.integers(min_value=0, max_value=300),
-        rows=st.integers(min_value=1, max_value=3),
-        n_words=st.integers(min_value=1, max_value=3),
-        run=st.sampled_from(["one", "stage", "default"]),
-        seed=SEEDS,
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_planes_equal_the_oracle(self, m, rows, n_words, run, seed):
-        # m spans stage remainders 0, 1 and 2; a run of one slab per call
-        # and a run covering a whole stage bracket the default 256 KiB run
-        words = np.random.default_rng(seed).integers(
-            0, 2**64, size=(m, rows, n_words), dtype=np.uint64
-        )
-        expected = _true_counts(words)
-        per_call = {"one": 1, "stage": max(1, m), "default": None}[run]
-        planes = reduce_planes(words.copy(), run=per_call)
-        assert len(planes) == m.bit_length()
-        if m:
-            np.testing.assert_array_equal(plane_counts(planes), expected)
 
     def test_rejects_non_uint64_or_flat_input(self):
         with pytest.raises(ValueError):
@@ -465,6 +458,28 @@ class TestKernelValidation:
         k = GenericPackedKernel(np.ones((4, 64), np.int8), None, 5, 64)
         with pytest.raises(ValueError, match="longer than input"):
             k.encode_bins(np.zeros((2, 3), dtype=np.int64))
+
+    def test_narrow_and_out_of_range_bins(self):
+        # a fused pair index a * L + b would wrap in uint8; a bin read
+        # only through a later (clipped) gather must still raise
+        X = _data(11, 64, 40)
+        enc = GenericEncoder(dim=8192, num_levels=64, seed=11,
+                             engine="packed").fit(X)
+        plan = enc.encode_plan()
+        assert plan.fuse_pairs
+        kernel = enc._current_kernel()
+        bins = enc.quantizer.transform(X[:8])
+        assert bins.max() * 64 > np.iinfo(np.uint8).max
+        expected = kernel._encode_bins_monolith(bins)
+        for dtype in (np.int64, np.uint8, np.int16):
+            np.testing.assert_array_equal(
+                kernel.encode_bins(bins.astype(dtype), plan=plan), expected)
+        bad = bins.copy()
+        bad[0, -1] = 64  # the last feature: offsets >= 1 only
+        with pytest.raises(IndexError, match="bins must lie"):
+            kernel.encode_bins(bad, plan=plan)
+        with pytest.raises(TypeError):
+            kernel.encode_bins(bins.astype(np.float64), plan=plan)
 
     def test_table_footprint_reported(self):
         k = GenericPackedKernel(np.ones((4, 64), np.int8), None, 3, 64)
