@@ -7,12 +7,10 @@ synthetic workload with both engines, verifies they are bit-identical,
 and writes samples/sec plus peak traced memory to ``BENCH_encode.json``
 so later PRs can diff the perf trajectory.
 
-Since the planner refactor each point also carries a ``planner``
-profile: the planner-lowered packed path is timed against the retained
-pre-IR monolith (:meth:`GenericPackedKernel._encode_bins_monolith`)
-and must stay bit-identical to it.  When the optional numba backend is
-importable, a ``numba`` profile per point times the JIT path against
-the reference engine.  A top-level ``approx`` profile trains a small
+Each point also carries a ``planner`` profile: the plan's decisions
+(backend, pair fusion, rows per tile, samples per chunk) and the packed
+path's single-thread time without allocation tracing
+(``planned_seconds``).  A top-level ``approx`` profile trains a small
 prototype classifier and measures the accuracy cost and encode-time
 gain of multifold approximate encoding at 50% folds -- the degradation
 ladder's ``approx`` tier.  A top-level ``readout`` profile times the
@@ -35,14 +33,10 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_encode.py --quick    # CI smoke
     PYTHONPATH=src python benchmarks/bench_encode.py --quick --check
 
-``--check`` exits non-zero if any point lost bit-identity (engine pair
-or planner vs. monolith), the packed engine failed to beat the
-reference engine (``--min-speedup``, default 1.0), the planned path
-regressed against the monolith at ``dim >= 4096``
-(``--min-planner-ratio``, default 1.0; smaller dims are report-only --
-the fold slab is bandwidth-noise dominated there), numba ran slower
-than ``--min-numba-speedup`` x reference (only when numba is present),
-approximate encoding cost more than ``--max-approx-drop`` accuracy
+``--check`` exits non-zero if any point lost bit-identity between the
+engines, the packed engine failed to beat the reference engine
+(``--min-speedup``, default 1.0), approximate encoding cost more than
+``--max-approx-drop`` accuracy
 points (default 2.0) or failed to reduce encode time, or the packed
 sign read-out lost bit identity with counts + sign + pack or ran slower
 than it at any ``readout`` point.  CI runs the quick grid with it so a
@@ -83,13 +77,9 @@ FULL_GRID = [
 
 QUICK_GRID = [
     ("generic", 1024, 3, 96, 128),
-    # a dim >= 4096 point so the planner no-regression gate runs in CI
+    # a dim >= 4096 point, where the planner fuses pair tables
     ("generic", 4096, 3, 96, 128),
 ]
-
-#: dims below this are exempt from the planner no-regression gate: the
-#: fold slab fits in cache and timings are allocator/bandwidth noise
-PLANNER_GATE_MIN_DIM = 4096
 
 #: the packed read-out grid (both profiles): the served model's shape
 #: (k = 254 folded windows) at single-query and full-batch sizes
@@ -132,64 +122,32 @@ def _time_encode(encoder, X, repeats: int):
     return best, peak, out
 
 
-def _planner_profile(encoder, X, packed_out, repeats):
-    """Planned packed path vs. the retained PR 2 monolith baseline.
+def _planner_profile(encoder, X, repeats):
+    """The plan's decisions and the planned packed path's time.
 
-    Both sides are re-timed here *without* tracemalloc -- the engine
-    timings above run under allocation tracing, which taxes the planned
-    path's span bookkeeping unevenly and would skew the ratio.  The
-    planned side runs on one thread (``n_jobs=1``), like the monolith.
+    Re-timed here *without* tracemalloc -- the engine timings above run
+    under allocation tracing, which taxes the span bookkeeping
+    unevenly.  One thread (``n_jobs=1``), best of ``max(3, repeats)``.
     """
     plan = encoder.encode_plan()
-    kernel = encoder._current_kernel()
-    # interleave the two sides so memory-bandwidth drift on the host
-    # hits both equally instead of biasing whichever ran later
     encoder.encode_batch(X[: max(1, len(X) // 8)], n_jobs=1)
-    mono_out = kernel._encode_bins_monolith(encoder.quantizer.transform(X))
-    planned_seconds = mono_seconds = float("inf")
+    planned_seconds = float("inf")
     for _ in range(max(3, repeats)):
         t0 = time.perf_counter()
         encoder.encode_batch(X, n_jobs=1)
         planned_seconds = min(planned_seconds, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        mono_out = kernel._encode_bins_monolith(
-            encoder.quantizer.transform(X)
-        )
-        mono_seconds = min(mono_seconds, time.perf_counter() - t0)
     return {
         "backend": plan.backend_name,
         "fuse_pairs": bool(plan.fuse_pairs),
         "tile_rows": int(plan.tile_rows),
         "chunk_samples": int(plan.chunk_samples),
         "planned_seconds": round(planned_seconds, 6),
-        "monolith_seconds": round(mono_seconds, 6),
-        "planned_vs_monolith": round(mono_seconds / planned_seconds, 2),
-        "identical_to_monolith": bool(np.array_equal(packed_out, mono_out)),
-    }
-
-
-def _numba_available() -> bool:
-    from repro.core.ir import BACKENDS
-
-    return "numba-jit" in BACKENDS
-
-
-def _numba_profile(name, dim, window, X, ref_seconds, ref_out, repeats):
-    """Optional JIT backend timing (present only when numba imports)."""
-    enc = _make_encoder(name, dim, window, "numba").fit(X)
-    seconds, peak, out = _time_encode(enc, X, repeats)
-    return {
-        "seconds": round(seconds, 6),
-        "samples_per_sec": round(len(X) / seconds, 1),
-        "speedup_vs_reference": round(ref_seconds / seconds, 2),
-        "identical": bool(np.array_equal(ref_out, out)),
     }
 
 
 def run_grid(grid, repeats: int = 3, seed: int = 7):
     rng = np.random.default_rng(seed)
     results = []
-    numba_present = _numba_available()
     for name, dim, window, n_samples, n_features in grid:
         X = rng.normal(size=(n_samples, n_features))
         point = {
@@ -217,26 +175,14 @@ def run_grid(grid, repeats: int = 3, seed: int = 7):
         point["identical"] = bool(
             np.array_equal(outputs["reference"], outputs["packed"])
         )
-        point["planner"] = _planner_profile(
-            encoders["packed"], X, outputs["packed"], repeats,
-        )
-        if numba_present:
-            point["numba"] = _numba_profile(
-                name, dim, window, X, point["reference"]["seconds"],
-                outputs["reference"], repeats,
-            )
+        point["planner"] = _planner_profile(encoders["packed"], X, repeats)
         results.append(point)
-        numba_note = (
-            f"  numba {point['numba']['speedup_vs_reference']:.2f}x-ref"
-            if numba_present else ""
-        )
         print(
             f"{name:8s} dim={dim:5d} n={window}  "
             f"ref {point['reference']['samples_per_sec']:9.1f}/s  "
             f"packed {point['packed']['samples_per_sec']:9.1f}/s  "
             f"speedup {point['speedup']:5.2f}x  "
-            f"plan/mono {point['planner']['planned_vs_monolith']:5.2f}x  "
-            f"identical={point['identical']}{numba_note}"
+            f"identical={point['identical']}"
         )
     return results
 
@@ -428,12 +374,6 @@ def main(argv=None) -> int:
                         help="fail if packed is slower or not bit-identical")
     parser.add_argument("--min-speedup", type=float, default=1.0,
                         help="--check threshold (default 1.0)")
-    parser.add_argument("--min-planner-ratio", type=float, default=1.0,
-                        help="--check floor for planned/monolith at "
-                             f"dim >= {PLANNER_GATE_MIN_DIM} (default 1.0)")
-    parser.add_argument("--min-numba-speedup", type=float, default=1.5,
-                        help="--check floor for numba vs reference when "
-                             "numba is installed (default 1.5)")
     parser.add_argument("--max-approx-drop", type=float, default=2.0,
                         help="--check ceiling for the 50%%-fold accuracy "
                              "drop in points (default 2.0)")
@@ -456,7 +396,6 @@ def main(argv=None) -> int:
         "workload": "synthetic normal(0,1), num_levels=64, seed fixed",
         "profile": "quick" if args.quick else "full",
         "numpy": np.__version__,
-        "numba_backend": _numba_available(),
         "cpus": os.cpu_count(),
         "usable_cpus": usable_cpus(),
         "fanout": fanout,
@@ -481,29 +420,6 @@ def main(argv=None) -> int:
                     f"{tag}: packed speedup {r['speedup']} "
                     f"< {args.min_speedup}"
                 )
-            plan = r["planner"]
-            if not plan["identical_to_monolith"]:
-                failures.append(
-                    f"{tag}: planned path not bit-identical to monolith"
-                )
-            if (r["dim"] >= PLANNER_GATE_MIN_DIM
-                    and plan["planned_vs_monolith"] < args.min_planner_ratio):
-                failures.append(
-                    f"{tag}: planned/monolith {plan['planned_vs_monolith']} "
-                    f"< {args.min_planner_ratio}"
-                )
-            numba = r.get("numba")
-            if numba is not None:
-                if not numba["identical"]:
-                    failures.append(
-                        f"{tag}: numba not bit-identical to reference"
-                    )
-                if numba["speedup_vs_reference"] < args.min_numba_speedup:
-                    failures.append(
-                        f"{tag}: numba speedup "
-                        f"{numba['speedup_vs_reference']} "
-                        f"< {args.min_numba_speedup}"
-                    )
         if approx["drop_pts"] > args.max_approx_drop:
             failures.append(
                 f"approx: accuracy drop {approx['drop_pts']} pts "

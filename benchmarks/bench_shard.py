@@ -222,7 +222,13 @@ def main(argv=None) -> int:
         if problems:
             print("GATE FAILURES:\n  - " + "\n  - ".join(problems))
             return 1
-        print("all sharding gates passed")
+        if gate_applied:
+            print("all sharding gates passed")
+        else:
+            short = (f"{cores} cores" if cores < GATE_CORES
+                     else f"{n_shards} shards")
+            print(f"replica speedup gate: not measured ({short} < "
+                  f"{GATE_CORES}); the other sharding gates passed")
     return 0
 
 

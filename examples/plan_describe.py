@@ -1,10 +1,11 @@
 """Inspect what the kernel planner decided for an encoding shape.
 
-Every encode since the primitive-IR refactor runs through a
-:class:`~repro.core.ir.KernelPlan`: the planner picks a backend,
-decides pair fusion / row tiles / chunk sizes per shape class,
-and prices the pipeline per primitive.  ``plan.describe()`` renders
-those decisions; this example walks a few regimes where they change:
+Every encode runs through a :class:`~repro.core.ir.KernelPlan`: the
+planner resolves the engine to one of two backends (``numpy-reference``
+or ``packed-uint64``), decides pair fusion / row tiles / chunk sizes per
+shape class, and counts the logical ops per primitive.
+``plan.describe()`` renders those decisions; this example walks a few
+regimes where they change:
 
 1. a small-dim shape (fusion off -- the tables are cache-resident);
 2. a large-dim shape (pair fusion on, ~2x the gather+XOR throughput);
@@ -38,7 +39,7 @@ def main() -> None:
     rng = np.random.default_rng(0)
     X = rng.normal(size=(64, 617))
 
-    print(f"registered backends: {BACKENDS.names()}\n")
+    print(f"backends: {BACKENDS.names()}\n")
 
     show("D=1024, packed (fusion off: tables stay cache-resident)",
          GenericEncoder(dim=1024, num_levels=64, seed=1, window=3,

@@ -207,7 +207,7 @@ class Encoder(ABC):
     def _auto_chunk(self, n: int) -> int:
         """Chunk size keeping per-chunk intermediates within the budget.
 
-        Encoders lowered onto the primitive IR size chunks from the
+        Encoders with an encode plan size chunks from the
         planner's per-chunk cost estimate (:meth:`_planned_chunk`);
         everything else falls back to the local :meth:`_chunk_cost`
         heuristic against the budget.

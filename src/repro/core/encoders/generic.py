@@ -13,25 +13,21 @@ Setting the ids to the binding identity (``use_ids=False``) skips global
 binding, which the paper does for order-free applications such as
 language identification.  ``n = 3`` is the paper's default.
 
-Execution lowers onto the primitive IR of :mod:`repro.core.ir`: the
-``engine=`` request resolves through the :class:`KernelPlanner
-<repro.core.ir.planner.KernelPlanner>` to a registered backend, and the
-cached plan decides fusion, row tiles and chunk sizing:
+Execution goes through an encode plan (:mod:`repro.core.ir`): the
+``engine=`` request resolves to one of two backends, and the cached
+plan decides fusion, row tiles and chunk sizing:
 
-- ``"reference"`` -- the ``numpy-reference`` backend, the direct
-  bipolar-domain translation of Eq. 1 (int8 level lookups, ``np.roll``
-  per offset, int8 multiplies).  Kept as the readable ground truth.
-- ``"packed"`` -- the ``packed-uint64`` backend over
-  :class:`~repro.core.kernels.GenericPackedKernel` tables: levels
-  packed to uint64 words once at fit (with per-offset permuted
-  copies), windows folded by word-wise XOR, bundling by bit-slice
-  accumulation.  Bit-identical to the reference and roughly an order
-  of magnitude faster (Section 3.3's eGPU data-packing trick in
-  software).
-- ``"numba"`` -- the optional ``numba-jit`` backend (fully fused
-  nopython loops); only accepted when numba is installed.
-- ``"auto"`` (default) resolves to the highest-priority available
-  backend -- ``packed`` today.
+- ``"reference"`` -- ``numpy-reference``, the direct bipolar-domain
+  translation of Eq. 1 (int8 level lookups, ``np.roll`` per offset,
+  int8 multiplies, :func:`repro.core.ir.reference_encode`).  Kept as
+  the readable ground truth.
+- ``"packed"`` -- ``packed-uint64``, the bit-domain path of
+  :class:`~repro.core.kernels.GenericPackedKernel`: levels packed to
+  uint64 words once at fit (with per-offset permuted copies), windows
+  folded by word-wise XOR, bundling by carry-save bit planes.
+  Bit-identical to the reference and roughly an order of magnitude
+  faster (Section 3.3's eGPU data-packing trick in software).
+- ``"auto"`` (default) resolves to ``packed``.
 
 ``approx_folds=k`` enables SHEARer-style multifold approximate
 encoding: only ``k`` evenly spaced windows are folded and bundled, the
@@ -45,9 +41,17 @@ import numpy as np
 
 from repro.core.encoders.base import DEFAULT_DIM, DEFAULT_LEVELS, Encoder, OpProfile
 from repro.core.ids import SeedIdGenerator, identity_ids
+from repro.core.ir import (
+    BACKEND_TO_ENGINE,
+    PLANNER,
+    EncodeSources,
+    PlanRequest,
+    encode_op_counts,
+    resolve_backend,
+)
 from repro.core.kernels import GenericPackedKernel, shared_packed_kernel
 
-ENGINES = ("auto", "reference", "packed", "numba")
+ENGINES = ("auto", "reference", "packed")
 
 
 class GenericEncoder(Encoder):
@@ -90,14 +94,6 @@ class GenericEncoder(Encoder):
             raise ValueError(
                 f"unknown encode engine {value!r}; choose from {ENGINES}"
             )
-        if value == "numba":
-            from repro.core.ir import BACKENDS
-
-            if "numba-jit" not in BACKENDS:
-                raise ValueError(
-                    "engine 'numba' requires the optional numba dependency "
-                    "(numba-jit backend not registered)"
-                )
         self._engine = value
         self._kernel: GenericPackedKernel | None = None
         self._plan = None
@@ -117,11 +113,8 @@ class GenericEncoder(Encoder):
         self._plan = None
 
     def _resolved_engine(self) -> str:
-        """The legacy engine label the planner resolves ``engine`` to."""
-        from repro.core.ir import BACKEND_TO_ENGINE, PLANNER
-
-        backend = PLANNER.resolve_backend(self._engine)
-        return BACKEND_TO_ENGINE.get(backend, backend)
+        """The engine label ``engine`` resolves to."""
+        return BACKEND_TO_ENGINE[resolve_backend(self._engine)]
 
     def __getstate__(self):
         """Pickle without the packed kernel.
@@ -196,21 +189,19 @@ class GenericEncoder(Encoder):
         self._check_fitted()
         return self.n_features - self.window + 1
 
-    # -- encoding (lowered onto the primitive IR) --------------------------
+    # -- encoding (through the encode plan) --------------------------------
 
     def encode_plan(self):
-        """The cached :class:`~repro.core.ir.planner.KernelPlan`.
+        """The cached :class:`~repro.core.ir.KernelPlan`.
 
         One plan per (encoder-fit, shape-class): the planner memoizes by
-        :class:`~repro.core.ir.planner.PlanRequest` globally, and the
+        :class:`~repro.core.ir.PlanRequest` globally, and the
         encoder pins the resolved plan locally so the hot path never
         re-resolves.  Invalidated by engine/approx changes and refits.
         """
         self._check_fitted()
         plan = self._plan
         if plan is None:
-            from repro.core.ir import PLANNER, PlanRequest
-
             plan = PLANNER.plan(PlanRequest(
                 n_features=int(self.n_features),
                 window=self.window,
@@ -224,8 +215,6 @@ class GenericEncoder(Encoder):
         return plan
 
     def _plan_sources(self, plan):
-        from repro.core.ir import EncodeSources
-
         if plan.backend_name == "numpy-reference":
             return EncodeSources(levels=self.levels.vectors, ids=self._ids)
         return EncodeSources(kernel=self._current_kernel())
@@ -266,29 +255,26 @@ class GenericEncoder(Encoder):
     def _op_profile(self) -> OpProfile:
         """Logical per-sample op counts, identical for both engines.
 
-        The packed engine executes word ops (64 dims per uint64 XOR),
-        but the *logical* work -- what the device and energy models
-        charge -- is per dimension; :meth:`GenericPackedKernel.op_counts`
-        reports the same logical totals alongside its word counts, and
-        the cross-engine test pins the two views together.
+        The XOR and add counts are :func:`repro.core.ir.encode_op_counts`
+        -- the same function the plan's per-primitive span attrs read --
+        so a trace's ``xor_fold``/``bundle`` ops always equal this
+        profile times the sample count.  They are per dimension, not
+        per uint64 word, so the packed engine reports the same work as
+        the reference engine.
         """
         w = self.n_windows
         # multifold approximation folds only k of the w windows; the
         # profile stays engine-independent either way
         k = w if self._approx_folds is None else min(self._approx_folds, w)
-        # per window: (n-1) XORs fold the permuted levels, plus 1 XOR for
-        # the id binding when ids are bound, and one accumulation into
-        # the bundle.
-        per_window = (self.window - 1) + (1 if self.use_ids else 0)
-        xors = k * per_window * self.dim
-        adds = k * self.dim
+        ops = encode_op_counts(int(self.n_features), self.window, self.dim,
+                               self.use_ids, self._approx_folds)
         mem = (self.n_features + k * self.window) * self.dim // 8
         notes = {"windows": w, "window_len": self.window}
         if k != w:
             notes["folds"] = k
         return OpProfile(
-            xor_ops=xors,
-            add_ops=adds,
+            xor_ops=ops["xor_fold"],
+            add_ops=ops["bundle"],
             mem_bytes=mem,
             notes=notes,
         )

@@ -27,12 +27,20 @@ This module is that software fast path:
   counts-side equivalent.  :func:`bit_slice_counts` is planes plus the
   counts read-out;
 - :class:`GenericPackedKernel` -- the GENERIC/ngram construction run
-  entirely in the packed domain, bit-identical to the reference encoder.
+  entirely in the packed domain, bit-identical to the reference encoder:
+  its fold (:meth:`~GenericPackedKernel.xor_fold`), the row-tile loop
+  that folds, reduces and reads out one tile at a time, and the two
+  encode entry points (counts and sign words).
 
 The kernel packs the level table once per fit, *including* the
 ``rho^j(levels)`` permuted copies for every in-window offset, so the
 per-chunk ``np.roll`` of the reference path disappears entirely: window
 folding degenerates to gathers plus word-wise XOR.
+
+This is the one packed module.  It takes its schedule (windows, rows
+per tile, pair fusion) as arguments; :mod:`repro.core.ir` decides that
+schedule per shape class and holds the bipolar reference encode that
+the packed path is checked against.
 """
 
 from __future__ import annotations
@@ -284,12 +292,43 @@ def bit_slice_counts(words: np.ndarray) -> np.ndarray:
 
 # -- the GENERIC encoding in the packed domain -------------------------------
 
+def _window_indices(window_sel: Optional[np.ndarray], n_windows: int):
+    """The windows a call folds: a :class:`slice` of all, or the selection.
+
+    Exact encodes (``window_sel is None``) get a slice so every
+    downstream gather stays a basic-indexing *view* of the bins --
+    fancy ``idx + j`` index arrays cost a materialized copy per window
+    offset.  Approximate encodes get the selected index vector.
+    """
+    if window_sel is None:
+        return slice(0, n_windows)
+    if window_sel[-1] >= n_windows:
+        raise ValueError(
+            f"plan selects window {int(window_sel[-1])} but input has only "
+            f"{n_windows} windows"
+        )
+    return window_sel
+
+
+def _row_tiles(n_rows: int, tile_rows: int):
+    """Row slices of at most ``tile_rows`` covering ``n_rows`` (>= one)."""
+    return [slice(r0, min(r0 + tile_rows, n_rows))
+            for r0 in range(0, max(1, n_rows), tile_rows)]
+
+
+def _shift_index(idx, j: int):
+    """``idx + j`` for either index form (slice stays a slice)."""
+    if isinstance(idx, slice):
+        return slice(idx.start + j, idx.stop + j) if j else idx
+    return idx + j if j else idx
+
+
 class GenericPackedKernel:
     """GENERIC/ngram window encoding folded with word-wise XOR.
 
     Built once per fitted encoder from the bipolar level table (and id
-    table, when ids are bound).  ``encode_bins`` then reproduces
-    ``GenericEncoder._encode_chunk`` bit for bit:
+    table, when ids are bound).  :meth:`encode_bins` then reproduces
+    the reference encoder bit for bit:
 
     - the level table is packed per in-window offset ``j`` as
       ``rho^j(levels)`` -- the reference path's per-chunk ``np.roll``
@@ -300,6 +339,11 @@ class GenericPackedKernel:
       identity ids, where the reference path still multiplies by ones);
     - bundling runs through :func:`reduce_planes` on the fold slab,
       and the bipolar counts fall out as ``n_windows - 2 * ones``.
+
+    The schedule -- which windows, how many rows per tile, whether
+    adjacent offsets gather from one pair table -- is the caller's
+    (the planner's, :mod:`repro.core.ir`); every schedule gives the
+    same result.
     """
 
     def __init__(
@@ -366,30 +410,6 @@ class GenericPackedKernel:
             total += pair.nbytes
         return total
 
-    def op_counts(self, n_features: int, n_samples: int = 1) -> dict:
-        """Logical and word-level op counts for encoding ``n_samples``.
-
-        ``word_xor_ops`` is what the kernel physically executes (one
-        uint64 XOR folds 64 dimensions, padding included);
-        ``xor_ops``/``add_ops`` are the *logical* per-dimension counts
-        -- the currency of :class:`~repro.core.encoders.base.OpProfile`
-        and the op/energy models -- so the packed engine reports the
-        same work as the reference engine, not 64x less.
-        """
-        n_win = n_features - self.window + 1
-        if n_win < 1:
-            raise ValueError(
-                f"window={self.window} longer than input ({n_features} features)"
-            )
-        folds = (self.window - 1) + (1 if self.id_words is not None else 0)
-        return {
-            "xor_ops": n_samples * n_win * folds * self.dim,
-            "add_ops": n_samples * n_win * self.dim,
-            "word_xor_ops": n_samples * n_win * folds * self.words,
-            "windows": n_win,
-            "words": self.words,
-        }
-
     def _validate_bins(self, bins: np.ndarray) -> int:
         if bins.ndim != 2:
             raise ValueError(f"expected (N, n_features) bins, got {bins.shape}")
@@ -404,54 +424,129 @@ class GenericPackedKernel:
             )
         return n_win
 
-    def encode_bins(self, bins: np.ndarray, plan=None) -> np.ndarray:
+    def xor_fold(self, bins_t: np.ndarray, idx,
+                 fuse_pairs: bool = False) -> np.ndarray:
+        """The ``(windows, rows, words)`` fold slab of windows ``idx``.
+
+        ``bins_t`` is the transposed ``(n_features, rows)`` intp bin
+        matrix, bins in ``[0, num_levels)`` (checked by the caller).  With
+        ``fuse_pairs`` adjacent offsets gather from one
+        :meth:`pair_table`.  The first gather writes the slab; later
+        gathers and the id XOR run over ``SLAB // 32``-byte runs of
+        windows through one scratch run, so no slab-sized temp is
+        allocated.
+        """
+        gathers = []  # (table (n, words), row index (windows, rows))
+        j = 0
+        while j < self.window:
+            index = bins_t[_shift_index(idx, j)]
+            if fuse_pairs and j + 1 < self.window:
+                table = self.pair_table(j).reshape(-1, self.words)
+                index = (index * self.num_levels
+                         + bins_t[_shift_index(idx, j + 1)])
+                j += 2
+            else:
+                table = self.tables[j]
+                j += 1
+            gathers.append((table, index))
+        table, index = gathers.pop(0)
+        fold = np.take(table, index, axis=0)
+        ids = None if self.id_words is None else self.id_words[idx, None, :]
+        if not gathers and ids is None:
+            return fold
+        k = len(fold)
+        run = max(1, (SLAB // 32) // max(1, fold[0].nbytes))
+        scratch = np.empty((min(run, k),) + fold.shape[1:], dtype=np.uint64)
+        for r0 in range(0, k, run):
+            r1 = min(r0 + run, k)
+            part = fold[r0:r1]
+            for table, index in gathers:
+                # mode="clip" lets take() write ``out`` unbuffered
+                part ^= np.take(table, index[r0:r1], axis=0,
+                                out=scratch[:r1 - r0], mode="clip")
+            if ids is not None:
+                part ^= ids[r0:r1]
+        return fold
+
+    def _read_tiles(self, bins, window_sel, tile_rows, fuse_pairs, readout):
+        """``readout(planes, k)`` of every row tile, stacked by rows.
+
+        Each tile of ``tile_rows`` rows (all rows when None) folds all
+        ``k`` windows into one slab that :func:`reduce_planes` reduces
+        in place.  The planes are views into that slab, so a tile is
+        read out before the next one folds; keeping them would keep
+        every tile's slab alive.
+        """
+        bins = np.asarray(bins)
+        n_win = self._validate_bins(bins)
+        idx = _window_indices(window_sel, n_win)
+        k = n_win if isinstance(idx, slice) else len(idx)
+        out = None
+        for rows in _row_tiles(len(bins), tile_rows or max(1, len(bins))):
+            # window-major layout: bundling reduces over the leading
+            # axis and every gather/XOR runs on contiguous (rows, W) slabs;
+            # intp so a fused pair index cannot wrap in a narrow dtype
+            bins_t = bins[rows].T.astype(np.intp, order="C",
+                                         casting="same_kind")
+            if bins_t.size and (bins_t.min() < 0
+                                or bins_t.max() >= self.num_levels):
+                # clipped gathers and fused pair indices would not raise
+                raise IndexError(
+                    f"bins must lie in [0, {self.num_levels}), got "
+                    f"[{int(bins_t.min())}, {int(bins_t.max())}]")
+            fold = self.xor_fold(bins_t, idx, fuse_pairs)
+            part = readout(reduce_planes(fold), k)
+            del fold  # free the slab before the next tile's gather
+            if rows.stop - rows.start == len(bins):
+                return part
+            if out is None:
+                out = np.empty((len(bins),) + part.shape[1:], part.dtype)
+            out[rows] = part
+        return out
+
+    def encode_bins(self, bins: np.ndarray,
+                    window_sel: Optional[np.ndarray] = None,
+                    tile_rows: Optional[int] = None,
+                    fuse_pairs: bool = False) -> np.ndarray:
         """Encode quantized inputs ``(N, n_features)`` to int32 counts.
 
         Returns the same ``(N, dim)`` int32 matrix as the reference
-        encoder: per-dimension sums of the bound window hypervectors.
-        Execution lowers onto the primitive IR: the planner builds (and
-        caches) a fused :class:`~repro.core.ir.planner.KernelPlan` for
-        this shape-class and the ``packed-uint64`` backend runs it;
-        callers with a plan in hand (encoders) pass it to skip the
-        cache lookup.
+        encoder: per-dimension sums of the bound window hypervectors
+        (of the ``window_sel`` windows only, when given).
         """
-        bins = np.asarray(bins)
-        n_win = self._validate_bins(bins)
-        if plan is None:
-            from repro.core.ir import plan_encode
+        dim = self.dim
 
-            plan = plan_encode(
-                n_features=bins.shape[1],
-                window=self.window,
-                dim=self.dim,
-                num_levels=self.num_levels,
-                use_ids=self.id_words is not None,
-                engine="packed",
-            )
-        from repro.core.ir.backends import EncodeSources
+        def counts(planes, k):
+            # bipolar read-out: each of the k bundled windows contributed
+            # +1 (bit clear) or -1 (bit set) per dimension
+            out = plane_counts(planes)[:, :dim] * -2
+            out += k
+            return out
 
-        return plan.execute(EncodeSources(kernel=self), bins)
+        return self._read_tiles(bins, window_sel, tile_rows, fuse_pairs,
+                                counts)
 
-    def _encode_bins_monolith(self, bins: np.ndarray) -> np.ndarray:
-        """The pre-IR single-pass body, kept as the benchmark baseline.
+    def encode_sign_bins(self, bins: np.ndarray,
+                         window_sel: Optional[np.ndarray] = None,
+                         tile_rows: Optional[int] = None,
+                         fuse_pairs: bool = False) -> np.ndarray:
+        """The encodings' sign words ``(N, words)`` straight from the planes.
 
-        ``bench_encode.py --check`` gates the planned path against this
-        exact code (bit-identity and no-regression), so the PR 2
-        behaviour stays pinned even though the hot path now runs
-        through the planner.
+        The count ``k - 2 * ones`` is negative (bit 1) exactly when
+        ``ones >= k // 2 + 1``; a tie (count 0, even ``k``) stays +1,
+        bit 0.  For ``k = 254`` the comparator is just the top plane.
+        No counts are built.
         """
-        bins = np.asarray(bins)
-        n_win = self._validate_bins(bins)
-        # window-major layout: bundling reduces over the leading axis and
-        # every gather/XOR below runs on contiguous (N, W) slabs
-        bins_t = np.ascontiguousarray(bins.T)
-        fold = self.tables[0][bins_t[:n_win]]
-        for j in range(1, self.window):
-            fold ^= self.tables[j][bins_t[j : j + n_win]]
-        if self.id_words is not None:
-            fold ^= self.id_words[:n_win, None, :]
-        ones = plane_counts(reduce_planes(fold))
-        return (n_win - 2 * ones[:, : self.dim]).astype(np.int32)
+        tail = self.dim % _WORD
+
+        def signs(planes, k):
+            words = planes_at_least(planes, k // 2 + 1)
+            if tail:  # padding bits above dim stay zero
+                words[:, -1] &= np.uint64((1 << tail) - 1)
+            return words
+
+        return self._read_tiles(bins, window_sel, tile_rows, fuse_pairs,
+                                signs)
 
 
 # -- packed-table memoization -------------------------------------------------

@@ -171,10 +171,10 @@ def summarize(spans: Iterable[Dict]) -> Dict[str, Dict]:
     appear); ``wall_s`` is the sum over spans of that name, so a
     parent's wall time already contains its children's.
 
-    Spans carrying primitive labels (a ``primitives`` attr mapping IR
-    primitive name -> logical ops, attached by planner-lowered encoders)
+    Spans carrying primitive labels (a ``primitives`` attr mapping
+    primitive name -> logical ops, attached by planned encoders)
     additionally aggregate into a ``primitives`` sub-dict per stage, so
-    reports can attribute work per primitive instead of per monolith.
+    reports can attribute work per primitive, not only per stage.
     """
     stages: Dict[str, Dict] = {}
     for rec in spans:

@@ -1,7 +1,7 @@
-"""Property-based suite for the primitive IR, planner, and backends.
+"""Property-based suite for the encode planner and its two backends.
 
-The central contract -- every backend executes every legal plan
-*bit-identically* -- is pinned here with Hypothesis over random shape
+The central contract -- the packed path executes every legal plan
+*bit-identically* to the reference oracle -- is pinned here with Hypothesis over random shape
 classes (levels, dim, features, window, ids, approximation), not just
 the handful of grid points the benchmarks time.  Alongside it: planner
 policy invariants (cache behaviour, chunk sizing, error bounds), the
@@ -26,12 +26,14 @@ from repro.core.ir import (
     KernelPlanner,
     PlanRequest,
     plan_encode,
+    resolve_backend,
     select_windows,
 )
 from repro.core.kernels import (
     GenericPackedKernel,
     clear_packed_kernel_cache,
     pack_bits,
+    packed_hamming,
     packed_kernel_cache_info,
     unpack_bits,
 )
@@ -111,20 +113,6 @@ class TestCrossBackendIdentity:
         assert ref_out.dtype == pk_out.dtype == np.int32
         np.testing.assert_array_equal(ref_out, pk_out)
 
-    @pytest.mark.skipif("numba-jit" not in BACKENDS,
-                        reason="numba not installed")
-    @given(shape=shape_classes)
-    @settings(max_examples=25, deadline=None)
-    def test_numba_plans_bit_identical(self, shape):
-        """The optional JIT backend joins the bit-identity contract."""
-        n_features, folds, levels, ids, bins = _materialize(shape, seed=4)
-        ref_plan = _plan_for(shape, n_features, folds, "reference")
-        nb_plan = _plan_for(shape, n_features, folds, "numba")
-        ref_src, pk_src = _sources(levels, ids, shape)
-        np.testing.assert_array_equal(
-            ref_plan.execute(ref_src, bins), nb_plan.execute(pk_src, bins)
-        )
-
     @given(shape=shape_classes)
     @settings(max_examples=40, deadline=None)
     def test_approx_at_all_windows_is_exact(self, shape):
@@ -162,20 +150,20 @@ class TestCrossBackendIdentity:
     @given(shape=shape_classes)
     @settings(max_examples=30, deadline=None)
     def test_primitive_popcount_search_agrees(self, shape):
-        """The search primitive matches across domains too."""
+        """The search primitive matches across domains too.
+
+        Bipolar Hamming distance is ``(D - q . c) / 2``; packed, it is
+        ``popcount(q XOR c)``.
+        """
         rng = np.random.default_rng(7)
         dim = shape["dim"]
         queries = rng.choice([-1, 1], size=(3, dim)).astype(np.int8)
         classes = rng.choice([-1, 1], size=(4, dim)).astype(np.int8)
-        ref = BACKENDS.get("numpy-reference").popcount_search(
-            queries, classes
-        )
-        from repro.core.kernels import pack_bits
-
-        pk = BACKENDS.get("packed-uint64").popcount_search(
-            pack_bits(queries < 0), pack_bits(classes < 0)
-        )
-        np.testing.assert_array_equal(np.asarray(ref), np.asarray(pk))
+        dots = queries.astype(np.int32) @ classes.astype(np.int32).T
+        ref = (dim - dots) // 2
+        pk = packed_hamming(pack_bits(queries < 0)[:, None, :],
+                            pack_bits(classes < 0)[None, :, :])
+        np.testing.assert_array_equal(ref, pk)
 
 
 class TestSelectWindows:
@@ -217,20 +205,20 @@ class TestPlannerPolicy:
         assert planner.cache_info()["plans"] == 0
 
     def test_engine_resolution(self):
-        planner = KernelPlanner()
+        assert BACKENDS.names() == ["numpy-reference", "packed-uint64"]
         for engine, backend in ENGINE_TO_BACKEND.items():
-            if backend not in BACKENDS:
-                continue
-            assert planner.resolve_backend(engine) == backend
+            assert backend in BACKENDS
+            assert resolve_backend(engine) == backend
             assert BACKEND_TO_ENGINE[backend] == engine
-        assert planner.resolve_backend("auto") == BACKENDS.best().name
-        with pytest.raises((KeyError, ValueError)):
-            planner.resolve_backend("no-such-engine")
+        assert resolve_backend("auto") == "packed-uint64"
+        for unknown in ("no-such-engine", "numba", "numba-jit"):
+            with pytest.raises(ValueError, match="unknown encode engine"):
+                resolve_backend(unknown)
 
     @given(shape=shape_classes)
     @settings(max_examples=50, deadline=None)
     def test_chunking_respects_budget(self, shape):
-        from repro.core.ir.planner import CHUNK_BUDGET
+        from repro.core.ir import CHUNK_BUDGET
 
         n_features, folds, _, _, _ = _materialize(shape)
         plan = _plan_for(shape, n_features, folds, "packed")
@@ -246,6 +234,7 @@ class TestPlannerPolicy:
         plan = _plan_for(shape, n_features, folds, "auto")
         text = plan.describe()
         assert plan.backend_name in text
+        assert "word_ops" not in text and "mem_bytes" not in text
         prims = plan.primitive_ops(4)
         assert prims and all(v >= 0 for v in prims.values())
         # logical op totals scale linearly with sample count
@@ -292,14 +281,12 @@ class TestKernelMemoization:
 
 
 class TestEncoderIntegration:
-    def test_numba_engine_gated_when_absent(self):
+    def test_numba_engine_is_unknown(self):
         enc = GenericEncoder(dim=64, num_levels=4, seed=0)
-        if "numba-jit" in BACKENDS:  # pragma: no cover - optional dep
+        with pytest.raises(ValueError, match="unknown encode engine"):
             enc.engine = "numba"
-            assert enc.engine == "numba"
-        else:
-            with pytest.raises(ValueError, match="numba"):
-                enc.engine = "numba"
+        with pytest.raises(ValueError, match="unknown encode engine"):
+            GenericEncoder(dim=64, num_levels=4, seed=0, engine="numba")
 
     def test_plan_pinned_and_reset_on_engine_change(self):
         rng = np.random.default_rng(0)
@@ -458,14 +445,14 @@ class TestPerCallWindowBlocks:
     @staticmethod
     def _tile(plan) -> int:
         """Rows per tile: the most whose fold of every window fits the slab."""
-        from repro.core.ir.planner import SLAB
+        from repro.core.kernels import SLAB
 
-        fold_row = plan.folds * plan.ctx.words * 8
+        fold_row = plan.folds * plan.words * 8
         assert plan.tile_rows == SLAB // fold_row
         return plan.tile_rows
 
     def test_block_shrinks_as_rows_grow(self, encoders):
-        from repro.core.ir.backends import _row_tiles
+        from repro.core.kernels import _row_tiles
 
         tile = self._tile(encoders[0].encode_plan())
         for rows in (0, 1, 32, tile - 1, tile, tile + 1, 3 * tile + 5):
@@ -492,20 +479,20 @@ class TestPerCallWindowBlocks:
 
     def test_training_chunk_folds_blocks(self, encoders, data, monkeypatch):
         # a full planned chunk is folded ceil(chunk / tile_rows) tiles apart
-        from repro.core.ir.backends import PackedUint64Backend
+        import repro.core.kernels as kernels_mod
 
         packed, _ = encoders
         plan = packed.encode_plan()
         tiles = -(-plan.chunk_samples // plan.tile_rows)
         assert tiles > 1
         sizes = []
-        bundle = PackedUint64Backend.bundle
+        reduce_planes = kernels_mod.reduce_planes
 
-        def counting_bundle(self, fold):
+        def counting_reduce(fold):
             sizes.append(fold.shape[1])
-            return bundle(self, fold)
+            return reduce_planes(fold)
 
-        monkeypatch.setattr(PackedUint64Backend, "bundle", counting_bundle)
+        monkeypatch.setattr(kernels_mod, "reduce_planes", counting_reduce)
         X = np.resize(data, (plan.chunk_samples, data.shape[1]))
         packed.encode_signs_packed(X, n_jobs=1)
         assert len(sizes) == tiles

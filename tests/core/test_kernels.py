@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import repro.core.kernels as kernels_mod
 from repro.core.encoders import GenericEncoder, NgramEncoder
 from repro.core.encoders.base import _CHUNK_BUDGET
+from repro.core.ir import EncodeSources, encode_op_counts
 from repro.core.jobs import resolve_jobs, usable_cpus
 from repro.core.kernels import (
     SLAB,
@@ -427,21 +428,21 @@ class TestInPlaceReducer:
                              engine="packed").fit(X)
         plan = enc.encode_plan()
         tile = plan.tile_rows
-        assert plan.folds * plan.ctx.words * 8 * tile <= SLAB
-        kernel = enc._current_kernel()
+        assert plan.folds * plan.words * 8 * tile <= SLAB
+        sources = EncodeSources(kernel=enc._current_kernel())
         bins = enc.quantizer.transform(_data(10, 4 * tile, 256))
 
         def peak(b):
-            kernel.encode_bins(b, plan=plan)  # warm
+            plan.execute(sources, b)  # warm
             tracemalloc.start()
             try:
-                kernel.encode_bins(b, plan=plan)
+                plan.execute(sources, b)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         one, four = peak(bins[:tile]), peak(bins)
-        out_rows = len(bins) * plan.ctx.dim * 4
+        out_rows = len(bins) * enc.dim * 4
         assert four <= 1.25 * one + out_rows, (one, four, out_rows)
 
 
@@ -467,19 +468,20 @@ class TestKernelValidation:
                              engine="packed").fit(X)
         plan = enc.encode_plan()
         assert plan.fuse_pairs
-        kernel = enc._current_kernel()
+        sources = EncodeSources(kernel=enc._current_kernel())
         bins = enc.quantizer.transform(X[:8])
         assert bins.max() * 64 > np.iinfo(np.uint8).max
-        expected = kernel._encode_bins_monolith(bins)
+        expected = GenericEncoder(dim=8192, num_levels=64, seed=11,
+                                  engine="reference").fit(X).encode_batch(X[:8])
         for dtype in (np.int64, np.uint8, np.int16):
             np.testing.assert_array_equal(
-                kernel.encode_bins(bins.astype(dtype), plan=plan), expected)
+                plan.execute(sources, bins.astype(dtype)), expected)
         bad = bins.copy()
         bad[0, -1] = 64  # the last feature: offsets >= 1 only
         with pytest.raises(IndexError, match="bins must lie"):
-            kernel.encode_bins(bad, plan=plan)
+            plan.execute(sources, bad)
         with pytest.raises(TypeError):
-            kernel.encode_bins(bins.astype(np.float64), plan=plan)
+            plan.execute(sources, bins.astype(np.float64))
 
     def test_table_footprint_reported(self):
         k = GenericPackedKernel(np.ones((4, 64), np.int8), None, 3, 64)
@@ -519,33 +521,60 @@ class TestCrossEngineOpAccounting:
         assert ref.op_profile() == pk.op_profile()
 
     @pytest.mark.parametrize("use_ids", [True, False])
-    def test_kernel_reports_logical_not_word_ops(self, use_ids):
+    def test_op_counts_are_logical_not_word_ops(self, use_ids):
         X = _data(9, 4, 12)
         _, pk = _pair(128, 2, use_ids)
         pk.fit(X)
         profile = pk.op_profile()
-        counts = pk._current_kernel().op_counts(n_features=12, n_samples=1)
-        assert counts["xor_ops"] == profile.xor_ops
-        assert counts["add_ops"] == profile.add_ops
-        # the physical word count is dim/64-fold smaller -- never what
-        # gets reported as the logical total
-        assert counts["word_xor_ops"] * 64 == counts["xor_ops"]
-        assert counts["word_xor_ops"] < counts["xor_ops"]
+        counts = encode_op_counts(12, 2, 128, use_ids)
+        assert counts["xor_fold"] == profile.xor_ops
+        assert counts["bundle"] == profile.add_ops
+        # per dimension, not per uint64 word: one XOR per dim per fold
+        # (window - 1 = 1, plus the id), one add per dim per window
+        windows = 12 - 2 + 1
+        assert counts["xor_fold"] == windows * (1 + use_ids) * 128
+        assert counts["bundle"] == windows * 128
 
     def test_op_counts_scale_with_samples(self):
         X = _data(2, 4, 10)
         _, pk = _pair(64, 2, True)
         pk.fit(X)
-        kernel = pk._current_kernel()
-        one = kernel.op_counts(n_features=10, n_samples=1)
-        many = kernel.op_counts(n_features=10, n_samples=5)
-        assert many["xor_ops"] == 5 * one["xor_ops"]
-        assert many["add_ops"] == 5 * one["add_ops"]
+        plan = pk.encode_plan()
+        one = plan.primitive_ops(1)
+        many = plan.primitive_ops(5)
+        assert one == encode_op_counts(10, 2, 64, True)
+        assert many["xor_fold"] == 5 * one["xor_fold"]
+        assert many["bundle"] == 5 * one["bundle"]
 
     def test_window_longer_than_input_rejected(self):
-        k = GenericPackedKernel(np.ones((4, 64), np.int8), None, 3, 64)
         with pytest.raises(ValueError, match="window"):
-            k.op_counts(n_features=2)
+            encode_op_counts(n_features=2, window=3, dim=64)
+
+    @pytest.mark.parametrize("engine", ["reference", "packed"])
+    @pytest.mark.parametrize("use_ids", [True, False])
+    @pytest.mark.parametrize("approx_folds", [None, 3])
+    def test_span_primitives_equal_op_profile(self, engine, use_ids,
+                                              approx_folds):
+        """Spans (and so energy) and ``OpProfile`` count the same ops."""
+        X = _data(5, 7, 12)
+        enc = GenericEncoder(dim=96, num_levels=8, seed=5, window=3,
+                             use_ids=use_ids, engine=engine,
+                             approx_folds=approx_folds).fit(X)
+        sink = CollectorSink()
+        obs_trace.enable_tracing(sink)
+        try:
+            enc.encode_batch(X)
+        finally:
+            obs_trace.reset()
+        (rec,) = [r for r in sink.spans if r["name"] == "encode"]
+        profile = enc.op_profile()
+        prims = rec["attrs"]["primitives"]
+        assert prims["xor_fold"] == profile.xor_ops * len(X)
+        assert prims["bundle"] == profile.add_ops * len(X)
+        assert rec["ops"]["xor_ops"] == prims["xor_fold"]
+        assert rec["ops"]["add_ops"] == prims["bundle"]
+        if approx_folds is not None:
+            assert rec["attrs"]["approx_folds"] == approx_folds
 
     def test_traced_spans_agree_across_engines(self):
         """End to end: identical encode spans from both engines."""

@@ -36,3 +36,18 @@ class TestQuickstartRuns:
         assert result.returncode == 0, result.stderr
         assert "hardware accuracy" in result.stdout
         assert "energy/input" in result.stdout
+
+
+class TestPlanDescribeRuns:
+    def test_plan_describe_prints_both_backends(self):
+        result = subprocess.run(
+            [sys.executable, "examples/plan_describe.py"],
+            capture_output=True,
+            text=True,
+            timeout=240,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "numpy-reference" in result.stdout
+        assert "packed-uint64" in result.stdout
+        assert "word_ops" not in result.stdout
+        assert "xor_fold" in result.stdout
