@@ -23,7 +23,7 @@ promised.  Two further sections ride along:
   always-on rings;
 - a **sharded-serving** overhead measurement: the same request load
   through a 2-shard process fleet with tracing off vs. fully on
-  (parent spans + worker spans shipped back over the SPANS channel).
+  (parent spans + worker spans shipped back on each batch's reply).
   ``--check`` holds the traced fleet to the same 5% budget, and
   ``--shard-trace-out`` writes the traced run's JSONL for the CI
   trace-schema lint.
@@ -236,7 +236,7 @@ def _sharded_overhead(quick: bool, trace_out=None):
 
     Times the identical request load with tracing off and fully on
     (root/dispatch spans in the parent, encode/search spans produced in
-    the worker processes and shipped back as SPANS records).  Rounds
+    the worker processes and shipped back on each batch's reply).  Rounds
     alternate off/on inside one long-lived fleet so spawn cost and
     drift cancel; after each toggle the supervisor gets a beat (it
     forwards TRACE flips on its 50ms tick) plus one settle request
@@ -298,7 +298,7 @@ def _sharded_overhead(quick: bool, trace_out=None):
             obs_trace.enable_tracing(jsink)
             time.sleep(0.12)
             serve_batch(server, n_req)
-            time.sleep(0.12)      # drain worker SPANS into the sink
+            time.sleep(0.12)      # let the last replies' spans land
             obs_trace.reset()
             jsink.close()
     REGISTRY.clear()

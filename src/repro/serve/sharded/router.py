@@ -111,6 +111,11 @@ class ShardRouter:
         with self._lock:
             self._loads[shard] = max(0, self._loads[shard] - 1)
 
+    def reset(self, shard: int) -> None:
+        """Zero a respawned shard's load: its old pipe's messages are gone."""
+        with self._lock:
+            self._loads[shard] = 0
+
     def loads(self) -> List[int]:
         with self._lock:
             return list(self._loads)

@@ -5,13 +5,14 @@
 GIL::
 
     Server._pump -> dispatcher thread
-                         |  (mp.Queue, FIFO per shard)
+                         |  _send: one duplex Pipe per shard (FIFO)
         +----------------+--------------+----------+
         v                v                         v
    shard proc 0     shard proc 1     ...     shard proc N-1
    (maps the ONE shared-memory model image read-only)
         |                |                         |
-        +--------> result queue -> collector thread -> Server._resolve
+        +----------------+-> connection.wait -> collector thread
+                                                 -> Server._resolve
 
 Routing comes in two modes (see
 :class:`~repro.serve.sharded.router.ShardRouter`): **replica** sends a
@@ -22,16 +23,17 @@ per-shard top-k scores -- bit-identical to single-process
 :meth:`~repro.core.packed.PackedModel.predict_packed`.
 
 Hot swap is epoch-based: ``swap()`` publishes the new model as a fresh
-shared segment, enqueues a swap message on every shard's FIFO queue,
+shared segment, sends a swap message down every shard's FIFO pipe,
 and unlinks the old segment only after every shard acks -- FIFO
 ordering makes an ack a proof that all pre-swap batches were answered,
 so a drained swap drops zero requests by construction.
 
 Resilience is per-shard: each shard process has a circuit breaker
 (crashes and errors open it; the router avoids open shards in replica
-mode), the supervisor respawns dead processes onto the *same* queues
-(undrained messages survive), and the ladder's engine fallback crosses
-the process boundary as a control message.
+mode), the supervisor respawns a dead process on a fresh pipe with the
+current models, tracing and engine state (its in-flight batches retry
+elsewhere), and the ladder's engine fallback crosses the process
+boundary as a control message.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ import queue as std_queue
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from multiprocessing.connection import Connection, wait
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -98,6 +101,8 @@ class ProcessExecutor(Executor):
     collector thread turns replies into :meth:`Server._resolve` /
     :meth:`Server._fail_or_retry` calls, and the shard processes
     (spawned, so parent threads are safe) map every model zero-copy.
+    Each shard talks over one duplex pipe: the parent writes through
+    :meth:`_send`, the collector waits on every pipe at once.
     """
 
     slot_label = "shard"
@@ -109,16 +114,19 @@ class ProcessExecutor(Executor):
         self.arena = SharedModelArena(prefix="shardsrv")
         self.router: Optional[ShardRouter] = None
         self._ctx = mp.get_context("spawn")
-        self._task_queues = [self._ctx.Queue() for _ in range(self.n_slots)]
-        self._result_queue = self._ctx.Queue()
         self._procs: List[Optional[mp.process.BaseProcess]] = (
             [None] * self.n_slots)
+        #: the parent's end of each live shard's pipe; None once it hit EOF
+        self._conns: List[Optional[Connection]] = [None] * self.n_slots
+        self._send_locks = [threading.Lock() for _ in range(self.n_slots)]
+        #: pipes the collector has yet to add to its wait set
+        self._fresh: List[Tuple[Connection, int]] = []
         self.specs: Dict[str, SharedImageSpec] = {}
         self._seq = itertools.count(1)
         self._pending: Dict[int, proto.PendingBatch] = {}
         self._plock = threading.Lock()
-        self._acks: Dict[int, Dict] = {}
-        self._stats_waiters: Dict[int, Dict] = {}
+        #: swap acks and stats pulls in flight, by seq (see _await)
+        self._waiters: Dict[int, Dict] = {}
         self._engine_degraded: Dict[str, bool] = {}
         #: aggregated per-shard observability (absorbed worker registries)
         self.shard_registry = Registry(namespace="shard")
@@ -155,28 +163,47 @@ class ProcessExecutor(Executor):
                 self.arena.unlink(old.segment)
             return True
         ack_seq = next(self._seq)
-        alive = {i for i, p in enumerate(self._procs)
-                 if p is not None and p.is_alive()}
-        state = {"remaining": alive or set(range(self.n_slots)),
-                 "event": threading.Event()}
-        with self._plock:
-            self._acks[ack_seq] = state
-        self._broadcast((proto.SWAP, name, spec, ack_seq))
+        waiter = self._await(ack_seq, (proto.SWAP, name, spec, ack_seq))
         if not drain:
             return True
-        acked = state["event"].wait(timeout)
+        acked = waiter["event"].wait(timeout)
         with self._plock:
-            self._acks.pop(ack_seq, None)
+            self._waiters.pop(ack_seq, None)
         if acked and old is not None:
             self.arena.unlink(old.segment)
         return acked
 
-    def _broadcast(self, msg) -> None:
-        for q in self._task_queues:
+    def _await(self, seq: int, msg) -> Dict:
+        """Send ``msg`` to every shard; returns the waiter on the replies.
+
+        Its event fires once each shard has answered, could not be sent
+        to, or died (:meth:`_forget`; a replacement starts from the
+        current specs); ``results`` maps a shard to its reply payload.
+        """
+        waiter = {"remaining": set(range(self.n_slots)), "results": {},
+                  "event": threading.Event()}
+        with self._plock:
+            self._waiters[seq] = waiter
+        for i in range(self.n_slots):
+            if not self._send(i, msg):
+                self._answer(seq, i)
+        return waiter
+
+    def _send(self, shard: int, msg) -> bool:
+        """Write ``msg`` down ``shard``'s pipe; False if the shard is dead."""
+        with self._send_locks[shard]:
+            conn = self._conns[shard]
+            if conn is None:
+                return False
             try:
-                q.put(msg)
-            except (ValueError, OSError):
-                pass
+                conn.send(msg)
+            except OSError:  # BrokenPipeError: the shard died
+                return False
+        return True
+
+    def _broadcast(self, msg) -> None:
+        for i in range(self.n_slots):
+            self._send(i, msg)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -201,31 +228,47 @@ class ProcessExecutor(Executor):
                                   n_classes=n_classes)
         self._started = True
         self._trace_sent = obs_trace.tracing_enabled()
+        self._fanout = std_queue.SimpleQueue()
+        self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
         for i in range(self.n_slots):
             self._procs[i] = self._spawn(i)
-        for target, tag in ((self._dispatch_loop, "dispatch"),
-                            (self._collect_loop, "collect")):
+        loops = [(self._dispatch_loop, "dispatch"),
+                 (self._collect_loop, "collect")]
+        if self.config.mode == "partition":
+            loops.append((self._fanout_loop, "fanout"))
+        for target, tag in loops:
             t = threading.Thread(target=target, name=f"sharded-{tag}",
                                  daemon=True)
             t.start()
             self._threads.append(t)
 
     def _spawn(self, shard: int):
-        proc = self._ctx.Process(
-            target=worker_main,
-            args=(shard, None, self._task_queues[shard],
-                  self._result_queue, dict(self.specs),
-                  obs_trace.tracing_enabled()),
-            name=f"shard-worker-{shard}", daemon=True,
-        )
+        """Start ``shard`` on a fresh pipe with the current state."""
+        conn, child = self._ctx.Pipe()
+        engines = {name: self.config.degrade.fallback_engine
+                   for name, degraded in self._engine_degraded.items()
+                   if degraded}
+        # under the send lock, so a swap's message reaches either the
+        # old pipe before the specs snapshot or the new pipe after it
+        with self._send_locks[shard]:
+            proc = self._ctx.Process(
+                target=worker_main,
+                args=(shard, child, dict(self.specs),
+                      obs_trace.tracing_enabled(), engines),
+                name=f"shard-worker-{shard}", daemon=True,
+            )
+            self._conns[shard] = conn
         proc.start()
+        child.close()
+        # the collector reads every pipe to its EOF and closes it
+        self._fresh.append((conn, shard))
+        self._wake_w.send(None)
         return proc
 
     def stop(self, timeout: Optional[float]) -> List[Request]:
+        dispatcher, *others = self._threads
+        dispatcher.join(timeout=timeout)
         self._broadcast((proto.STOP,))
-        for t in self._threads:
-            t.join(timeout=timeout)
-        self._threads = []
         for i, proc in enumerate(self._procs):
             if proc is None:
                 continue
@@ -234,11 +277,17 @@ class ProcessExecutor(Executor):
                 proc.terminate()
                 proc.join(timeout=1.0)
             self._procs[i] = None
+        # every pipe is at EOF now: the collector drains it and exits
+        self._fanout.put(None)
+        self._wake_w.send(None)
+        for t in others:
+            t.join(timeout=timeout)
+        self._threads = []
+        self._wake_r.close()
+        self._wake_w.close()
         with self._plock:
             pendings = list(self._pending.values())
             self._pending.clear()
-        for q in self._task_queues + [self._result_queue]:
-            q.cancel_join_thread()
         self._started = False
         return [req for p in pendings for req in p.batch.requests]
 
@@ -304,44 +353,74 @@ class ProcessExecutor(Executor):
         with self._plock:
             self._pending[seq] = pending
         self.router.dispatched(shard)
-        self._task_queues[shard].put(msg)
+        if not self._send(shard, msg):
+            self._unsent(shard, msg)
+
+    def _fanout_loop(self) -> None:
+        # partition mode's SEARCH scatter.  A send blocks while the
+        # shard's pipe is full, and the shard may itself be blocked
+        # sending a reply that only the collector reads; so the
+        # collector queues its scatter here and never writes a pipe
+        while True:
+            item = self._fanout.get()
+            if item is None:
+                return
+            shard, msg = item
+            if not self._send(shard, msg):
+                self._unsent(shard, msg)
+
+    def _unsent(self, shard: int, msg) -> None:
+        """A serving message the dead shard never got: retry its batch."""
+        self.router.completed(shard)
+        pending = self._take_pending(msg[1], pop=True)
+        if pending is not None:
+            self._retry(pending.batch, shard,
+                        "died before the batch reached it")
 
     # -- collector -----------------------------------------------------------
 
     def _collect_loop(self) -> None:
-        stop = self.server._stop
+        readers: Dict[Connection, int] = {}
         while True:
-            try:
-                msg = self._result_queue.get(timeout=0.05)
-            except (std_queue.Empty, OSError, EOFError):
-                if stop.is_set():
-                    return
-                continue
-            shard_id, kind, seq, payload = msg[:4]
-            if kind in (proto.OK, proto.ERR):
+            while self._fresh:
+                conn, shard = self._fresh.pop()
+                readers[conn] = shard
+            if not readers and self.server._stop.is_set():
+                return
+            for conn in wait([self._wake_r, *readers]):
+                if conn is self._wake_r:
+                    conn.recv()
+                    continue
+                shard = readers[conn]
+                try:
+                    msg = conn.recv()
+                except (EOFError, OSError):
+                    # the shard exited: out of the wait set until the
+                    # supervisor respawns it on a new pipe
+                    del readers[conn]
+                    with self._send_locks[shard]:
+                        if self._conns[shard] is conn:
+                            self._conns[shard] = None
+                    conn.close()
+                    continue
+                if conn is not self._conns[shard]:
+                    continue  # a respawned shard's old pipe: all failed over
+                kind, seq, payload = msg[:3]
+                if kind not in (proto.OK, proto.ERR):  # ACK / STATS_R
+                    self._answer(seq, shard, payload)
+                    continue
                 # every serving reply releases its shard's load, even
                 # one for a batch an earlier error already failed
-                self.router.completed(shard_id)
-            if kind == proto.ACK:
-                self._handle_ack(shard_id, seq)
-            elif kind == proto.STATS_R:
-                self._handle_stats(shard_id, seq, payload)
-            elif kind == proto.ERR:
-                self._handle_error(shard_id, seq, payload)
-            elif kind == proto.OK:
-                # worker span records piggyback on the OK reply (5th
-                # element); emit them before resolving the futures so a
-                # caller that joins a traced request always finds the
-                # complete tree in the sink
-                if len(msg) > 4:
-                    for record in msg[4]:
-                        obs_trace.emit_foreign(record)
-                self._handle_ok(shard_id, seq, payload)
-            elif kind == proto.SPANS:
-                # worker span records, already carrying the request's
-                # trace ids: re-emit into the parent's sinks
-                for record in payload:
+                self.router.completed(shard)
+                # worker span records ride the reply; emit them before
+                # resolving the futures so a caller that joins a traced
+                # request always finds the complete tree in the sink
+                for record in msg[3]:
                     obs_trace.emit_foreign(record)
+                if kind == proto.OK:
+                    self._handle_ok(shard, seq, payload)
+                else:
+                    self._handle_error(shard, seq, payload)
 
     def _take_pending(self, seq: int,
                       pop: bool) -> Optional[proto.PendingBatch]:
@@ -353,36 +432,30 @@ class ProcessExecutor(Executor):
                 del self._pending[seq]
             return pending
 
-    def _handle_ack(self, shard_id: int, ack_seq: int) -> None:
+    def _answer(self, seq: int, shard: int, payload=None) -> None:
+        """Count ``shard`` out of waiter ``seq`` (its reply, or its death)."""
         with self._plock:
-            state = self._acks.get(ack_seq)
-            if state is None:
-                return
-            state["remaining"].discard(shard_id)
-            if not state["remaining"]:
-                del self._acks[ack_seq]
-                state["event"].set()
-
-    def _handle_stats(self, shard_id: int, seq: int, payload: Dict) -> None:
-        with self._plock:
-            waiter = self._stats_waiters.get(seq)
+            waiter = self._waiters.get(seq)
             if waiter is None:
                 return
-            waiter["results"][shard_id] = payload
-            if len(waiter["results"]) >= waiter["expect"]:
+            if payload is not None:
+                waiter["results"][shard] = payload
+            waiter["remaining"].discard(shard)
+            if not waiter["remaining"]:
+                del self._waiters[seq]
                 waiter["event"].set()
 
     def _handle_error(self, shard_id: int, seq: int, payload: Dict) -> None:
         self.server.breakers[shard_id].record_failure()
         pending = self._take_pending(seq, pop=True)
-        if pending is None:
-            return
-        batch = pending.batch
-        err = WorkerError(
-            f"shard {shard_id} failed serving {batch.model!r}: "
-            f"{payload.get('kind')}: {payload.get('message')}",
-            model=batch.model, worker=shard_id, retryable=True,
-        )
+        if pending is not None:
+            self._retry(pending.batch, shard_id,
+                        f"failed serving {pending.batch.model!r}: "
+                        f"{payload.get('kind')}: {payload.get('message')}")
+
+    def _retry(self, batch: Batch, shard: int, why: str) -> None:
+        err = WorkerError(f"shard {shard} {why}", model=batch.model,
+                          worker=shard, retryable=True)
         for req in batch.requests:
             self.server._fail_or_retry(req, err)
 
@@ -418,10 +491,10 @@ class ProcessExecutor(Executor):
             for s in targets:
                 rows = self.router.shard_rows(s)
                 self.router.dispatched(s)
-                self._task_queues[s].put((
+                self._fanout.put((s, (
                     proto.SEARCH, seq, batch.model, data, wire_dim,
                     self.config.topk, (rows.start, rows.stop), wire_ctx,
-                ))
+                )))
         elif complete:  # the last SEARCH partial: merge and answer
             t_merge = time.monotonic()
             _, rows = self.router.merge(pending.partials, k=self.config.topk)
@@ -458,25 +531,16 @@ class ProcessExecutor(Executor):
         for i, proc in enumerate(self._procs):
             if proc is None or proc.is_alive():
                 continue
-            # a dead shard: open-circuit it, respawn onto the SAME
-            # queues (unread messages survive), retry its in-flight
-            # batches
+            # a dead shard: open-circuit it, fail over what it owed,
+            # and start a replacement on a fresh pipe
             self.server.breakers[i].record_failure()
-            self._fail_shard_pendings(i)
-            # a worker idles in task_queue.get() holding the queue's
-            # process-shared reader lock; killed there, it never frees
-            # it and the replacement would wait on it forever.  Only
-            # this shard reads its queue, so a held lock is the dead
-            # process's: free it.
-            reader_lock = self._task_queues[i]._rlock
-            reader_lock.acquire(block=False)
-            reader_lock.release()
+            self._forget(i)
             self._procs[i] = self._spawn(i)
             events.append({"shard": i, "exitcode": proc.exitcode})
         return events
 
-    def _fail_shard_pendings(self, shard: int) -> None:
-        """Retry/fail every in-flight batch the dead shard owned."""
+    def _forget(self, shard: int) -> None:
+        """Retry the dead shard's batches; stop waiting on its replies."""
         with self._plock:
             doomed = [p for p in self._pending.values()
                       if p.batch.slot == shard
@@ -486,18 +550,13 @@ class ProcessExecutor(Executor):
             for p in doomed:
                 p.dead = True
                 self._pending.pop(p.seq, None)
-        # the message the shard died holding never gets a reply; the
-        # ones still queued are answered by its replacement.  Had the
-        # shard died idle, this release is a no-op (loads clamp at zero)
-        # or comes early for a reply still in the result pipe; either
-        # way no load leaks.
-        self.router.completed(shard)
+            waiting = list(self._waiters)
+        # every message sent down the dead shard's pipe died with it
+        self.router.reset(shard)
+        for seq in waiting:
+            self._answer(seq, shard)
         for p in doomed:
-            err = WorkerError(f"shard {shard} died with the batch in flight",
-                              model=p.batch.model, worker=shard,
-                              retryable=True)
-            for req in p.batch.requests:
-                self.server._fail_or_retry(req, err)
+            self._retry(p.batch, shard, "died with the batch in flight")
 
     def kill(self, slot: int) -> None:
         # a *process* kill: terminate the shard like a real crash; the
@@ -546,20 +605,11 @@ class ProcessExecutor(Executor):
         """
         if not self._started:
             return {}
-        alive = [i for i, p in enumerate(self._procs)
-                 if p is not None and p.is_alive()]
-        if not alive:
-            return {}
         seq = next(self._seq)
-        waiter = {"results": {}, "expect": len(alive),
-                  "event": threading.Event()}
-        with self._plock:
-            self._stats_waiters[seq] = waiter
-        for i in alive:
-            self._task_queues[i].put((proto.STATS, seq))
+        waiter = self._await(seq, (proto.STATS, seq))
         waiter["event"].wait(STATS_TIMEOUT if timeout is None else timeout)
         with self._plock:
-            self._stats_waiters.pop(seq, None)
+            self._waiters.pop(seq, None)
         results = dict(waiter["results"])
         for shard, payload in results.items():
             self.shard_registry.absorb_state(
@@ -644,7 +694,7 @@ class ShardedServer(Server):
         """Epoch-based hot swap: publish, flip every shard, then unlink.
 
         The new image goes out as a *new* shared segment with a bumped
-        epoch.  Each shard's FIFO queue gets a swap message; a shard's
+        epoch.  Each shard's FIFO pipe gets a swap message; a shard's
         ack therefore certifies that every batch dispatched before the
         swap has been answered.  With ``drain=True`` the call blocks
         until all live shards ack (at most ``drain_timeout``, 10 s by

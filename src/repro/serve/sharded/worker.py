@@ -5,7 +5,8 @@ consumer :class:`~repro.core.shared.SharedModelArena`, maps every
 deployed model's image read-only out of shared memory
 (:meth:`PackedModel.from_shared` -- class words *and* the packed
 ``rho^j(levels)`` kernel tables are views, so N workers share one
-physical copy), and drains its FIFO task queue:
+physical copy), and answers the messages on its end of the shard's
+duplex pipe, one at a time and in order:
 
 - :data:`~repro.serve.sharded.proto.PREDICT` runs both inference
   stages (encode + prefix-Hamming search) on the batch;
@@ -25,9 +26,9 @@ physical copy), and drains its FIFO task queue:
 When tracing is on, the serving kinds open ``serve.encode`` /
 ``serve.search`` spans under the :class:`~repro.obs.distributed.
 TraceContext` wired in with the message, buffer the finished records
-locally, and ship them back as :data:`~repro.serve.sharded.proto.SPANS`
-messages -- the parent's collector re-emits them into its own sinks,
-already re-parented under the submitting request's trace.
+locally, and ship them back on the batch's ``OK`` or ``ERR`` reply --
+the parent's collector re-emits them into its own sinks, already
+re-parented under the submitting request's trace.
 
 Workers never write the model image (the views are read-only; fault
 injection corrupts a throwaway ``with_words`` clone), and they never
@@ -38,8 +39,7 @@ from __future__ import annotations
 
 import os
 import time
-import traceback
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from repro.core.packed import PackedModel
 from repro.core.shared import SharedImageSpec, SharedModelArena
 from repro.obs import distributed as obs_distributed
 from repro.obs import trace as obs_trace
+from repro.obs.export import CollectorSink
 from repro.obs.registry import Registry
 from repro.serve.sharded import proto
 
@@ -105,10 +106,8 @@ def shm_mapping_kb(segment: str) -> Dict[str, int]:
 class _ShardState:
     """Everything one worker process keeps between messages."""
 
-    def __init__(self, shard_id: int, rows: Optional[Tuple[int, int]]):
+    def __init__(self, shard_id: int):
         self.shard_id = shard_id
-        #: class-row span (lo, hi) this shard owns; None = full replica
-        self.rows = rows
         self.arena = SharedModelArena(prefix="shardw")
         self.models: Dict[str, PackedModel] = {}
         self.segments: Dict[str, str] = {}
@@ -174,55 +173,35 @@ class _ShardState:
         }
 
 
-def _err_payload(exc: BaseException, shard_id: int, model: str) -> Dict:
-    return {
-        "kind": type(exc).__name__,
-        "message": str(exc),
-        "model": model,
-        "shard": shard_id,
-        "traceback": traceback.format_exc(limit=6),
-    }
-
-
-class _SpanBuffer:
-    """Trace sink buffering finished span records for SPANS shipping."""
-
-    def __init__(self) -> None:
-        self.records = []
-
-    def emit(self, record: Dict) -> None:
-        self.records.append(record)
-
-    def drain(self):
-        records, self.records = self.records, []
-        return records
-
-
-def worker_main(shard_id: int, rows: Optional[Tuple[int, int]],
-                task_queue, result_queue,
+def worker_main(shard_id: int, conn,
                 deployments: Dict[str, SharedImageSpec],
-                trace_enabled: bool = False) -> None:
-    """Run one shard worker until :data:`~proto.STOP` (or queue EOF).
+                trace_enabled: bool, engines: Dict[str, str]) -> None:
+    """Run one shard worker until :data:`~proto.STOP` (or pipe EOF).
 
-    ``trace_enabled`` propagates the parent's tracing state across the
-    spawn: a freshly-spawned worker starts with the obs layer reset, so
-    without this flag a ``--trace`` session would silently lose every
-    worker span.  The :data:`~proto.TRACE` message toggles it later.
+    ``conn`` is the worker's end of the shard's duplex pipe; every
+    reply is written to it synchronously.  ``deployments``,
+    ``trace_enabled`` and ``engines`` (model name -> fallback engine of
+    each degraded deployment) carry the parent's state across the
+    spawn, so a respawned shard serves exactly like the one it
+    replaces; :data:`~proto.TRACE` and :data:`~proto.ENGINE` messages
+    change them later.
     """
-    state = _ShardState(shard_id, rows)
+    state = _ShardState(shard_id)
     hist = state.registry.histogram("stage_seconds", labels=("stage",))
     served_ctr = state.registry.counter("served")
     batches_ctr = state.registry.counter("batches")
     errors_ctr = state.registry.counter("errors")
-    span_buf = _SpanBuffer()
+    span_buf = CollectorSink()  # span records for the next reply
     if trace_enabled:
         obs_trace.enable_tracing(span_buf)
     for name, spec in deployments.items():
         state.install(name, spec)
+    for name, engine in engines.items():
+        state.set_engine(name, engine)
     try:
         while True:
             try:
-                msg = task_queue.get()
+                msg = conn.recv()
             except (EOFError, OSError):
                 return
             kind = msg[0]
@@ -235,7 +214,7 @@ def worker_main(shard_id: int, rows: Optional[Tuple[int, int]],
             if kind == proto.SWAP:
                 _, name, spec, ack_seq = msg
                 state.install(name, spec)
-                result_queue.put((shard_id, proto.ACK, ack_seq, name))
+                conn.send((proto.ACK, ack_seq, name))
                 continue
             if kind == proto.ENGINE:
                 _, name, engine = msg
@@ -252,109 +231,68 @@ def worker_main(shard_id: int, rows: Optional[Tuple[int, int]],
                     obs_trace.disable_tracing()
                 continue
             if kind == proto.STATS:
-                _, seq = msg
-                result_queue.put(
-                    (shard_id, proto.STATS_R, seq, state.stats())
-                )
+                conn.send((proto.STATS_R, msg[1], state.stats()))
                 continue
 
             # -- the serving kinds: PREDICT / ENCODE / SEARCH ----------------
             seq, name = msg[1], msg[2]
+            ctx = obs_distributed.TraceContext.from_wire(msg[-1])
             t0 = time.monotonic()
             try:
                 model = state.model(name)
-                if kind == proto.PREDICT:
-                    _, _, _, X, dim, fault_draw, *rest = msg
-                    ctx = obs_distributed.TraceContext.from_wire(
-                        rest[0] if rest else None
-                    )
-                    scored = model
-                    if fault_draw is not None:
-                        spec_f, child_seed = fault_draw
-                        rng = np.random.default_rng(child_seed)
-                        scored = model.with_words(
-                            spec_f.corrupt_words(model.class_words, rng)
-                        )
-                    with obs_distributed.use_context(ctx):
+                with obs_distributed.use_context(ctx):
+                    if kind == proto.SEARCH:
+                        _, _, _, words, dim, k, rows, _ = msg
+                        with obs_trace.span("serve.search", shard=shard_id,
+                                            model=name):
+                            payload = (proto.SEARCH, model.topk_to_classes(
+                                words, k=k, dim=dim, rows=slice(*rows)))
+                        hist.labels(stage="search").record(
+                            time.monotonic() - t0)
+                    elif kind in (proto.PREDICT, proto.ENCODE):
+                        X = msg[3]
                         with obs_trace.span("serve.encode", shard=shard_id,
                                             model=name, batch=len(X)):
                             words = model.encode_packed(X)
                         t1 = time.monotonic()
-                        with obs_trace.span("serve.search", shard=shard_id,
-                                            model=name, batch=len(X)):
-                            labels = scored.predict_packed(words, dim=dim)
-                    t2 = time.monotonic()
-                    hist.labels(stage="encode").record(t1 - t0)
-                    hist.labels(stage="search").record(t2 - t1)
-                    served_ctr.inc(len(labels))
-                    state.served += len(labels)
-                    payload = (proto.PREDICT, labels)
-                elif kind == proto.ENCODE:
-                    _, _, _, X, *rest = msg
-                    ctx = obs_distributed.TraceContext.from_wire(
-                        rest[0] if rest else None
-                    )
-                    with obs_distributed.use_context(ctx), obs_trace.span(
-                        "serve.encode", shard=shard_id, model=name,
-                        batch=len(X),
-                    ):
-                        words = model.encode_packed(X)
-                    hist.labels(stage="encode").record(
-                        time.monotonic() - t0
-                    )
-                    # partition mode: this process's own tally counts
-                    # a request at the shard that encoded it (every
-                    # shard searches it); the parent's per-shard count
-                    # waits until the request resolves
-                    served_ctr.inc(len(words))
-                    state.served += len(words)
-                    payload = (proto.ENCODE, words)
-                elif kind == proto.SEARCH:
-                    _, _, _, words, dim, k, rows, *rest = msg
-                    ctx = obs_distributed.TraceContext.from_wire(
-                        rest[0] if rest else None
-                    )
-                    if rows is None:
-                        rows = state.rows
-                    rows_slice = slice(*rows) if rows is not None else None
-                    with obs_distributed.use_context(ctx), obs_trace.span(
-                        "serve.search", shard=shard_id, model=name,
-                    ):
-                        dists, row_idx = model.topk_to_classes(
-                            words, k=k, dim=dim, rows=rows_slice
-                        )
-                    hist.labels(stage="search").record(
-                        time.monotonic() - t0
-                    )
-                    payload = (proto.SEARCH, (dists, row_idx))
-                else:
-                    raise ValueError(f"unknown message kind {kind!r}")
+                        hist.labels(stage="encode").record(t1 - t0)
+                        payload = (proto.ENCODE, words)
+                        if kind == proto.PREDICT:
+                            _, _, _, _, dim, fault_draw, _ = msg
+                            scored = model
+                            if fault_draw is not None:
+                                spec_f, child_seed = fault_draw
+                                rng = np.random.default_rng(child_seed)
+                                scored = model.with_words(spec_f.corrupt_words(
+                                    model.class_words, rng))
+                            with obs_trace.span("serve.search",
+                                                shard=shard_id, model=name,
+                                                batch=len(X)):
+                                labels = scored.predict_packed(words, dim=dim)
+                            payload = (proto.PREDICT, labels)
+                            hist.labels(stage="search").record(
+                                time.monotonic() - t1)
+                        # partition mode: this process's own tally counts
+                        # a request at the shard that encoded it (every
+                        # shard searches it); the parent's per-shard count
+                        # waits until the request resolves
+                        served_ctr.inc(len(X))
+                        state.served += len(X)
+                    else:
+                        raise ValueError(f"unknown message kind {kind!r}")
             except BaseException as exc:  # noqa: BLE001 - ships to parent
                 errors_ctr.inc()
-                result_queue.put(
-                    (shard_id, proto.ERR, seq,
-                     _err_payload(exc, shard_id, name))
-                )
-                if span_buf.records:
-                    # spans finished before the failure still ship, on
-                    # the standalone SPANS channel (rare, cold path)
-                    result_queue.put(
-                        (shard_id, proto.SPANS, seq, span_buf.drain())
-                    )
-                continue
+                reply = proto.ERR
+                payload = {"kind": type(exc).__name__, "message": str(exc)}
+            else:
+                reply = proto.OK
+                batches_ctr.inc()
             finally:
                 state.busy_seconds += time.monotonic() - t0
-            batches_ctr.inc()
-            if span_buf.records:
-                # piggyback the batch's span records on the OK reply:
-                # one queue message instead of two halves the per-batch
-                # IPC cost of tracing, and guarantees the parent sees
-                # the worker spans before it resolves the futures
-                result_queue.put(
-                    (shard_id, proto.OK, seq, payload, span_buf.drain())
-                )
-            else:
-                result_queue.put((shard_id, proto.OK, seq, payload))
+            # the batch's span records ride its reply, so the parent
+            # sees the worker spans before it resolves the futures
+            conn.send((reply, seq, payload, span_buf.spans))
+            span_buf.clear()
     finally:
         state.models.clear()
         state.arena.close_all()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import multiprocessing as mp
 import os
 import threading
 import time
@@ -11,9 +12,15 @@ from concurrent.futures import wait
 import numpy as np
 import pytest
 
+from repro.core.classifier import HDClassifier
+from repro.core.encoders import GenericEncoder
+from repro.core.packed import PackedModel
+from repro.obs import trace as obs_trace
+from repro.obs.export import CollectorSink
 from repro.serve import InferenceServer, ServeConfig
-from repro.serve.resilience import ChaosPolicy
+from repro.serve.resilience import BreakerConfig, ChaosPolicy, DegradeConfig
 from repro.serve.sharded import ShardedServeConfig, ShardedServer, proto
+from repro.serve.sharded.server import STATS_TIMEOUT, SWAP_ACK_TIMEOUT
 from repro.stream import StreamConfig, StreamLoop
 
 pytestmark = pytest.mark.skipif(
@@ -41,6 +48,22 @@ def replica_server(serve_classifier):
     with server:
         yield server
     assert _no_leaked_segments(server)
+
+
+@pytest.fixture(scope="module")
+def busy_model():
+    """A D=2048 model on 256 features, and 960 queries to keep it busy.
+
+    A 64-row batch takes a shard several milliseconds, so fifteen of
+    them leave batches in flight long enough to kill a shard mid-stream.
+    """
+    rng = np.random.default_rng(3)
+    protos = rng.normal(size=(4, 256))
+    y = rng.integers(0, 4, size=320)
+    X = protos[y] + rng.normal(scale=0.8, size=(320, 256))
+    clf = HDClassifier(GenericEncoder(dim=2048, seed=5), epochs=2,
+                       seed=5).fit(X, y)
+    return clf, PackedModel.from_classifier(clf), np.concatenate([X, X, X])
 
 
 class TestReplicaMode:
@@ -82,6 +105,14 @@ class TestReplicaMode:
         assert snap["router"]["mode"] == "replica"
         dep = snap["deployments"]["m"]
         assert dep["segment"] is not None and dep["epoch"] >= 1
+
+    def test_no_queue_feeder_threads_in_the_parent(self, replica_server,
+                                                   serve_queries):
+        # one pipe per shard, written synchronously: no mp.Queue, so no
+        # feeder thread pickling behind the dispatcher's back
+        replica_server.predict_many("m", serve_queries[:16], timeout=60.0)
+        names = [t.name for t in threading.enumerate()]
+        assert not [n for n in names if "QueueFeeder" in n], names
 
 
 class TestPartitionMode:
@@ -222,9 +253,9 @@ def test_router_loads_reconcile_after_a_run(mode, serve_classifier,
 @pytest.mark.parametrize("mode", ["replica", "partition"])
 def test_router_loads_reconcile_after_kill_and_respawn(
         mode, serve_classifier, serve_packed, serve_queries):
-    # a killed shard's in-flight batches fail over (_fail_shard_pendings
-    # releases the message it died holding); its replacement answers the
-    # messages still queued, and each of those replies releases one
+    # a killed shard's in-flight batches fail over and its load resets
+    # to zero (its pipe died with it); its replacement starts on a fresh
+    # pipe, and each of its replies releases one
     chaos = ChaosPolicy(kill_rate=0.1, max_kills=2, seed=5)
     server = ShardedServer(
         _config(mode=mode, max_retries=6, retry_backoff=0.02), chaos=chaos,
@@ -316,8 +347,8 @@ class TestCrashRecovery:
 
     def test_shard_killed_while_idle_serves_after_respawn(
             self, serve_classifier, serve_queries):
-        # an idle worker waits in task_queue.get() holding the queue's
-        # reader lock; the replacement must not inherit it held
+        # an idle worker waits in recv() on its pipe; the replacement
+        # starts on a fresh pipe and serves like the one it replaced
         server = ShardedServer(_config(max_retries=6, retry_backoff=0.02))
         server.register("m", serve_classifier)
         with server:
@@ -335,6 +366,146 @@ class TestCrashRecovery:
             assert server.wait_idle(30.0)
             assert server.worker_utilization()["served"][0] > before
             assert _settled_loads(server) == [0, 0]
+
+
+    def test_busy_shard_killed_repeatedly(self, busy_model):
+        # terminate shard 0 with >= 2 batches in flight, eight times: each
+        # kill fails its batches over and respawns it once, on a fresh
+        # pipe, and leaves no load, process or segment behind.  The
+        # breaker trips only on a window of nothing but failures, and
+        # shard 0 answers a batch before each kill, so routing keeps
+        # sending it work; the ladder stays put
+        clf, packed, queries = busy_model
+        ref = packed.predict_packed(packed.encode_packed(queries))
+        server = ShardedServer(_config(
+            max_batch=64, max_retries=8, retry_backoff=0.01,
+            breaker=BreakerConfig(error_threshold=1.0),
+            degrade=DegradeConfig(enabled=False)))
+        server.register("m", clf)
+        others = set(mp.active_children())  # e.g. a module fixture's
+
+        def workers():
+            return [p for p in mp.active_children() if p not in others]
+
+        with server:
+            for trial in range(8):
+                restarts = server.worker_restarts
+                served = server.stats()["counters"].get("served", 0)
+                answered = server._served_by_slot[0]
+                futures = [server.submit("m", x) for x in queries]
+                deadline = time.monotonic() + 10.0
+                while (server._served_by_slot[0] == answered
+                       or server.router.loads()[0] < 2):
+                    assert time.monotonic() < deadline, (
+                        trial, server.router.loads(),
+                        [b.state for b in server.breakers])
+                    time.sleep(0.0005)
+                server.executor.kill(0)
+                labels = [f.result(timeout=30.0).label for f in futures]
+                np.testing.assert_array_equal(labels, ref)
+                assert server.wait_idle(30.0)
+                deadline = time.monotonic() + 10.0
+                while (server.worker_restarts == restarts
+                       and time.monotonic() < deadline):
+                    time.sleep(0.005)
+                # the replacement answers on its pipe, it is not stalled
+                assert set(server.shard_stats(timeout=10.0)) == {0, 1}
+                assert server.worker_restarts == restarts + 1, trial
+                assert _settled_loads(server) == [0, 0], trial
+                counters = server.stats()["counters"]
+                assert counters["served"] - served == len(queries)
+                assert counters.get("errors", 0) == 0
+                assert len(workers()) == 2
+        assert not workers()
+        assert _no_leaked_segments(server)
+
+    def test_respawned_shard_keeps_the_engine_fallback(
+            self, toy_problem, serve_queries):
+        # a shard respawned while its deployment is engine-degraded must
+        # encode on the fallback engine like the shard it replaced.  The
+        # model is fitted here: the fallback mutates its encoder
+        X_train, y_train, _, _ = toy_problem
+        clf = HDClassifier(GenericEncoder(dim=512, num_levels=16, seed=11),
+                           epochs=1, seed=11).fit(X_train, y_train)
+        server = ShardedServer(_config(max_retries=6, retry_backoff=0.02,
+                                       degrade=DegradeConfig(enabled=False)))
+        server.register("m", clf)
+        sink = CollectorSink()
+
+        def encode_engines():
+            sink.clear()
+            server.predict_many("m", serve_queries[:32], timeout=30.0)
+            return {s["attrs"]["engine"] for s in sink.spans
+                    if s["name"] == "encode"}
+
+        obs_trace.reset()
+        try:
+            with server:
+                obs_trace.enable_tracing(sink)
+                assert server.registry.get("m").fallback_engine("reference")
+                deadline = time.monotonic() + 10.0
+                while (encode_engines() != {"reference"}
+                       and time.monotonic() < deadline):
+                    time.sleep(0.05)
+                assert encode_engines() == {"reference"}
+                server.executor.kill(0)
+                deadline = time.monotonic() + 10.0
+                while (server.worker_restarts < 1
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                assert server.worker_restarts == 1
+                before = server.worker_utilization()["served"][0]
+                engines = set()
+                for _ in range(4):
+                    engines |= encode_engines()
+                    time.sleep(0.02)
+                assert server.worker_utilization()["served"][0] > before
+                assert server.registry.get("m").degraded
+                assert engines == {"reference"}
+        finally:
+            obs_trace.reset()
+
+    def test_swap_and_stats_across_a_respawn(self, serve_classifier,
+                                             serve_queries):
+        server = ShardedServer(_config(max_retries=6, retry_backoff=0.02))
+        server.register("m", serve_classifier)
+        executor = server.executor
+        answer = executor._answer
+
+        def lose_shard0_acks(seq, shard, payload=None):
+            # shard 0 never acks: the swap waits until it dies
+            if not (shard == 0 and isinstance(payload, str)):
+                answer(seq, shard, payload)
+
+        with server:
+            server.predict_many("m", serve_queries[:16], timeout=30.0)
+            executor._answer = lose_shard0_acks
+            swapped = []
+            t = threading.Thread(target=lambda: swapped.append(
+                server.swap("m", serve_classifier, drain=True)))
+            t.start()
+            time.sleep(0.3)
+            assert t.is_alive()  # waiting on shard 0's ack
+            t0 = time.monotonic()
+            executor.kill(0)
+            t.join(SWAP_ACK_TIMEOUT)
+            assert time.monotonic() - t0 < SWAP_ACK_TIMEOUT / 4
+            assert swapped[0].version == 2
+            assert server.stats()["counters"].get("swap_ack_timeouts", 0) == 0
+            assert server.stats()["deployments"]["m"]["epoch"] == 2
+            # the replacement maps the new epoch and serves it
+            preds = server.predict_many("m", serve_queries[:64], timeout=30.0)
+            assert {p.version for p in preds} == {2}
+            assert server.shard_stats(timeout=10.0)[0]["epochs"]["m"] == 2
+            # a dead shard does not hold stats() for STATS_TIMEOUT
+            executor._answer = answer
+            dead = executor._procs[1]
+            executor.kill(1)
+            dead.join(5.0)
+            t0 = time.monotonic()
+            server.stats()
+            assert time.monotonic() - t0 < STATS_TIMEOUT / 2
+        assert _no_leaked_segments(server)
 
 
 class TestStreamLoopIntegration:
