@@ -25,25 +25,13 @@ from typing import Optional
 import numpy as np
 
 from repro.core import training
-from repro.core.config import UNSET, ComputeConfig
+from repro.core.config import ComputeConfig
 from repro.core.encoders.base import Encoder
 from repro.core.norms import DEFAULT_BLOCK, SubNormTable
 from repro.core.sims import score as score_fn
 from repro.core.training import TRAIN_ENGINES, TrainPlan, TrainReport
 
 __all__ = ["HDClassifier", "TrainReport", "TrainPlan", "TRAIN_ENGINES"]
-
-
-def apply_engine(encoder: Encoder, engine: Optional[str],
-                 owner: str = "model") -> None:
-    """Apply an encoding-engine override to ``encoder`` (no-op on None)."""
-    if engine is None:
-        return
-    if not hasattr(encoder, "engine"):
-        raise ValueError(
-            f"{owner}: {type(encoder).__name__} has no selectable engine"
-        )
-    encoder.engine = engine
 
 
 class HDClassifier:
@@ -65,32 +53,17 @@ class HDClassifier:
     norm_block:
         Granularity of the sub-norm table (128 in the ASIC).
     config:
-        A :class:`~repro.core.config.ComputeConfig` bundling the four
-        compute knobs (``engine``, ``encode_jobs``, ``train_engine``,
-        ``train_memory_budget``).  The per-knob kwargs below remain as
-        deprecated aliases and override matching ``config`` fields.
-    engine:
-        *Deprecated alias* for ``config.engine``: encoding engine
-        override (``"reference"``/``"packed"``/``"auto"``) applied to
-        the encoder when it supports one; ``None`` keeps the encoder's
-        own setting.
-    encode_jobs:
-        *Deprecated alias* for ``config.encode_jobs``: thread-pool width
-        for batch encoding in :meth:`fit`/:meth:`predict` (``None`` or
-        ``-1`` = all usable CPUs, ``1`` = serial).  Results are identical
-        for any value.
-    train_engine:
-        *Deprecated alias* for ``config.train_engine``: ``"reference"``
-        (the paper's per-sample loop), ``"gram"`` (the
-        dot-product-cached replay of :mod:`repro.core.training` --
-        result-identical for this classifier's integer ±h rule), or
+        A :class:`~repro.core.config.ComputeConfig` (copied on
+        ingestion): ``encode_jobs`` is the thread-pool width for batch
+        encoding in :meth:`fit`/:meth:`predict` (results are identical
+        for any value); ``train_engine`` picks the retraining engine --
+        ``"reference"`` (the paper's per-sample loop), ``"gram"`` (the
+        dot-product-cached replay of :mod:`repro.core.training`,
+        result-identical for this classifier's integer ±h rule) or
         ``"auto"`` (gram whenever exactness is provable and the cache
-        fits the memory budget).  The resolved choice is recorded on
-        ``train_plan_`` after :meth:`fit`.
-    train_memory_budget:
-        *Deprecated alias* for ``config.train_memory_budget``: byte cap
-        for the gram caches (``None`` = the module default, 256 MiB);
-        ``"auto"`` falls back to the reference engine beyond it.
+        fits ``train_memory_budget``; the resolved choice is recorded
+        on ``train_plan_`` after :meth:`fit`).  The encode engine is
+        the encoder's own setting (``GenericEncoder(engine=...)``).
     """
 
     #: update rule implemented by this class (see repro.core.training)
@@ -104,10 +77,6 @@ class HDClassifier:
         shuffle: bool = True,
         seed: int = 0,
         norm_block: int = DEFAULT_BLOCK,
-        engine=UNSET,
-        encode_jobs=UNSET,
-        train_engine=UNSET,
-        train_memory_budget=UNSET,
         config: Optional[ComputeConfig] = None,
     ):
         self.encoder = encoder
@@ -117,15 +86,8 @@ class HDClassifier:
         self.seed = seed
         self.rng = np.random.default_rng(seed)
         self.norm_block = norm_block
-        self.config = ComputeConfig.from_kwargs(
-            config,
-            engine=engine,
-            encode_jobs=encode_jobs,
-            train_engine=train_engine,
-            train_memory_budget=train_memory_budget,
-            owner=type(self).__name__,
-        )
-        apply_engine(encoder, self.config.engine, owner=type(self).__name__)
+        self.config = (config.replace() if config is not None
+                       else ComputeConfig())
         if self.config.train_engine not in TRAIN_ENGINES:
             raise ValueError(
                 f"unknown train engine {self.config.train_engine!r}; "
@@ -137,43 +99,6 @@ class HDClassifier:
         self.norms_: Optional[SubNormTable] = None
         self.report_: Optional[TrainReport] = None
         self.train_plan_: Optional[TrainPlan] = None
-
-    # -- compute-config compatibility surface -------------------------------
-    # The four historical per-knob attributes stay readable/writable but
-    # are views over ``self.config`` (one source of truth; pickling the
-    # instance round-trips the config with it).
-
-    @property
-    def engine(self) -> Optional[str]:
-        return self.config.engine
-
-    @engine.setter
-    def engine(self, value: Optional[str]) -> None:
-        self.config.engine = value
-
-    @property
-    def encode_jobs(self) -> Optional[int]:
-        return self.config.encode_jobs
-
-    @encode_jobs.setter
-    def encode_jobs(self, value: Optional[int]) -> None:
-        self.config.encode_jobs = value
-
-    @property
-    def train_engine(self) -> str:
-        return self.config.train_engine
-
-    @train_engine.setter
-    def train_engine(self, value: str) -> None:
-        self.config.train_engine = value
-
-    @property
-    def train_memory_budget(self) -> Optional[int]:
-        return self.config.train_memory_budget
-
-    @train_memory_budget.setter
-    def train_memory_budget(self, value: Optional[int]) -> None:
-        self.config.train_memory_budget = value
 
     # -- training ----------------------------------------------------------
 
@@ -187,7 +112,7 @@ class HDClassifier:
             self.encoder.fit(X)
         # counts land straight in the float64 matrix retraining works on
         encodings = self.encoder.encode_batch(
-            X, n_jobs=self.encode_jobs, dtype=np.float64
+            X, n_jobs=self.config.encode_jobs, dtype=np.float64
         )
         # encoders return integer counts (Encoder._encode_chunk), which
         # lets the training planner skip its whole-array integer check
@@ -215,7 +140,7 @@ class HDClassifier:
         return self
 
     def _retrain(self, encodings: np.ndarray, y_idx: np.ndarray) -> TrainReport:
-        """Per-sample online retraining (Fig. 1c) under ``train_engine``."""
+        """Per-sample online retraining (Fig. 1c), ``config.train_engine``."""
         return training.retrain(self, encodings, y_idx)
 
     # -- inference -----------------------------------------------------------
@@ -276,7 +201,7 @@ class HDClassifier:
     ) -> np.ndarray:
         """Encode and classify raw inputs."""
         encodings = self.encoder.encode_batch(
-            np.asarray(X, dtype=np.float64), n_jobs=self.encode_jobs,
+            np.asarray(X, dtype=np.float64), n_jobs=self.config.encode_jobs,
             dtype=np.float64,
         )
         return self.predict_encoded(encodings, dim=dim, constant_norms=constant_norms)

@@ -14,8 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.classifier import apply_engine
-from repro.core.config import UNSET, ComputeConfig
+from repro.core.config import ComputeConfig
 from repro.core.encoders.base import Encoder
 from repro.core.sims import cosine_scores
 
@@ -23,9 +22,9 @@ from repro.core.sims import cosine_scores
 class HDCluster:
     """K-centroid clustering in hyperspace.
 
-    ``config`` bundles the compute knobs
-    (:class:`~repro.core.config.ComputeConfig`); ``engine`` /
-    ``encode_jobs`` remain as deprecated aliases.
+    ``config`` (a :class:`~repro.core.config.ComputeConfig`) sets the
+    encode fan-out (``encode_jobs``); the encode engine is the
+    encoder's own setting.
     """
 
     def __init__(
@@ -34,8 +33,6 @@ class HDCluster:
         k: int,
         epochs: int = 10,
         seed: int = 0,
-        engine=UNSET,
-        encode_jobs=UNSET,
         config: Optional[ComputeConfig] = None,
     ):
         if k < 1:
@@ -44,32 +41,12 @@ class HDCluster:
         self.k = k
         self.epochs = epochs
         self.rng = np.random.default_rng(seed)
-        self.config = ComputeConfig.from_kwargs(
-            config, engine=engine, encode_jobs=encode_jobs,
-            owner=type(self).__name__,
-        )
-        apply_engine(encoder, self.config.engine, owner=type(self).__name__)
+        self.config = (config.replace() if config is not None
+                       else ComputeConfig())
 
         self.centroids_: Optional[np.ndarray] = None
         self.labels_: Optional[np.ndarray] = None
         self.epochs_run_: int = 0
-
-    # legacy per-knob attributes, views over ``self.config``
-    @property
-    def engine(self) -> Optional[str]:
-        return self.config.engine
-
-    @engine.setter
-    def engine(self, value: Optional[str]) -> None:
-        self.config.engine = value
-
-    @property
-    def encode_jobs(self) -> Optional[int]:
-        return self.config.encode_jobs
-
-    @encode_jobs.setter
-    def encode_jobs(self, value: Optional[int]) -> None:
-        self.config.encode_jobs = value
 
     def fit(self, X: np.ndarray) -> "HDCluster":
         """Cluster the rows of ``X``; sets ``labels_`` and ``centroids_``."""
@@ -79,7 +56,7 @@ class HDCluster:
         if not self.encoder.fitted:
             self.encoder.fit(X)
         encodings = self.encoder.encode_batch(
-            X, n_jobs=self.encode_jobs, dtype=np.float64
+            X, n_jobs=self.config.encode_jobs, dtype=np.float64
         )
 
         # Paper: the first k encoded inputs are the initial centroids.
@@ -111,7 +88,7 @@ class HDCluster:
         if self.centroids_ is None:
             raise RuntimeError("HDCluster used before fit()")
         encodings = self.encoder.encode_batch(
-            np.asarray(X, dtype=np.float64), n_jobs=self.encode_jobs,
+            np.asarray(X, dtype=np.float64), n_jobs=self.config.encode_jobs,
             dtype=np.float64,
         )
         scores = cosine_scores(encodings, self.centroids_)

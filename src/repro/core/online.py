@@ -23,10 +23,12 @@ benchmarks use the paper's rule unless stated.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.core.classifier import HDClassifier
-from repro.core.config import UNSET, ComputeConfig
+from repro.core.config import ComputeConfig
 from repro.obs import trace as obs_trace
 
 
@@ -49,11 +51,7 @@ class AdaptiveHDClassifier(HDClassifier):
         shuffle: bool = True,
         seed: int = 0,
         norm_block: int = 128,
-        engine=UNSET,
-        encode_jobs=UNSET,
-        train_engine=UNSET,
-        train_memory_budget=UNSET,
-        config: "ComputeConfig" = None,
+        config: Optional[ComputeConfig] = None,
     ):
         super().__init__(
             encoder,
@@ -62,10 +60,6 @@ class AdaptiveHDClassifier(HDClassifier):
             shuffle=shuffle,
             seed=seed,
             norm_block=norm_block,
-            engine=engine,
-            encode_jobs=encode_jobs,
-            train_engine=train_engine,
-            train_memory_budget=train_memory_budget,
             config=config,
         )
         if lr <= 0:
@@ -93,10 +87,10 @@ class AdaptiveHDClassifier(HDClassifier):
         unknown = set(np.unique(y)) - set(self.classes_.tolist())
         if unknown:
             raise ValueError(f"labels not present at fit time: {sorted(unknown)}")
-        # same encode path as fit()/predict(): the ComputeConfig engine
-        # selection and thread fan-out apply to streaming batches too
+        # same encode path as fit()/predict(): the encoder's engine and
+        # the config's thread fan-out apply to streaming batches too
         encodings = self.encoder.encode_batch(
-            X, n_jobs=self.encode_jobs, dtype=np.float64
+            X, n_jobs=self.config.encode_jobs, dtype=np.float64
         )
         y_idx = np.searchsorted(self.classes_, y)
         n, dim = len(X), self.encoder.dim

@@ -25,8 +25,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.classifier import HDClassifier, apply_engine
-from repro.core.config import UNSET, ComputeConfig
+from repro.core.classifier import HDClassifier
+from repro.core.config import ComputeConfig
 from repro.core.encoders.base import Encoder
 from repro.core.hypervector import sign_quantize, to_binary
 from repro.core.kernels import (  # noqa: F401  (re-exported public API)
@@ -70,57 +70,37 @@ class PackedModel:
 
     def __init__(self, encoder: Encoder, class_words: np.ndarray,
                  class_labels: np.ndarray, dim: int,
-                 encode_jobs=UNSET,
                  config: Optional[ComputeConfig] = None):
         self.encoder = encoder
         self.class_words = np.asarray(class_words, dtype=np.uint64)
         self.class_labels = np.asarray(class_labels)
         self.dim = dim
-        self.config = ComputeConfig.from_kwargs(
-            config, encode_jobs=encode_jobs, owner=type(self).__name__,
-        )
+        self.config = (config.replace() if config is not None
+                       else ComputeConfig())
         #: shared-memory segment this model's arrays are mapped from
         #: (set by :meth:`from_shared`; ``None`` for ordinary models)
         self.shared_segment: Optional[str] = None
 
-    # legacy attribute, a view over ``self.config``
-    @property
-    def encode_jobs(self) -> Optional[int]:
-        return self.config.encode_jobs
-
-    @encode_jobs.setter
-    def encode_jobs(self, value: Optional[int]) -> None:
-        self.config.encode_jobs = value
-
     @classmethod
     def from_classifier(cls, clf: HDClassifier,
                         rng: Optional[np.random.Generator] = None,
-                        engine=UNSET,
-                        encode_jobs=UNSET,
                         config: Optional[ComputeConfig] = None
                         ) -> "PackedModel":
         """Sign-quantize and pack a trained classifier's class matrix.
 
-        ``config.engine`` selects the query-encoding path when the
-        encoder supports one (see
-        :class:`~repro.core.encoders.generic.GenericEncoder`);
+        The model shares the classifier's encoder, so queries encode on
+        whatever engine that encoder was built with;
         ``config.encode_jobs`` fans query encoding out over a thread
-        pool.  ``engine``/``encode_jobs`` remain as deprecated aliases.
+        pool.
         """
         if clf.model_ is None:
             raise RuntimeError("PackedModel needs a fitted classifier")
-        merged = ComputeConfig.from_kwargs(
-            config, engine=engine, encode_jobs=encode_jobs,
-            owner="PackedModel.from_classifier",
-        )
-        apply_engine(clf.encoder, merged.engine,
-                     owner="PackedModel.from_classifier")
         signs = np.vstack([
             sign_quantize(row, rng=rng) for row in clf.model_
         ])
         words = pack_bits(to_binary(signs))
         return cls(clf.encoder, words, clf.classes_, clf.encoder.dim,
-                   config=merged)
+                   config=config)
 
     def with_words(self, class_words: np.ndarray,
                    copy: bool = False) -> "PackedModel":
@@ -143,7 +123,7 @@ class PackedModel:
         if copy:
             words = np.array(words, dtype=np.uint64, order="C", copy=True)
         return PackedModel(self.encoder, words, self.class_labels,
-                           self.dim, config=self.config.replace())
+                           self.dim, config=self.config)
 
     # -- buffer ownership ---------------------------------------------------
 
@@ -298,7 +278,7 @@ class PackedModel:
         stages independently.
         """
         return self.encoder.encode_signs_packed(
-            np.atleast_2d(X), n_jobs=self.encode_jobs
+            np.atleast_2d(X), n_jobs=self.config.encode_jobs
         )
 
     # backwards-compatible private alias

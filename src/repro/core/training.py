@@ -667,7 +667,7 @@ def _retrain_gram_adaptive(clf, encodings: np.ndarray, y_idx: np.ndarray,
 def retrain(clf, encodings: np.ndarray, y_idx: np.ndarray) -> TrainReport:
     """Run retraining for a fitted-init classifier under its engine flag.
 
-    Resolves ``clf.train_engine`` via :func:`plan_retraining` (recorded
+    Resolves ``clf.config.train_engine`` via :func:`plan_retraining` (recorded
     on ``clf.train_plan_``) and dispatches on the classifier's update
     rule (``clf.train_rule``: ``"paper"`` or ``"adaptive"``).
     """
@@ -677,9 +677,9 @@ def retrain(clf, encodings: np.ndarray, y_idx: np.ndarray) -> TrainReport:
         encodings,
         n_classes=clf.model_.shape[0],
         epochs=clf.epochs,
-        engine=clf.train_engine,
+        engine=clf.config.train_engine,
         rule=rule,
-        budget_bytes=clf.train_memory_budget,
+        budget_bytes=clf.config.train_memory_budget,
         assume_integral=getattr(clf, "_encodings_integral", False),
     )
     clf.train_plan_ = plan

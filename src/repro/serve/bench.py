@@ -178,12 +178,17 @@ def run_bench(
     packed: bool = False,
     config: Optional[ServeConfig] = None,
     seed: int = 7,
+    train_engine: str = "auto",
 ) -> Dict:
-    """One fresh server per load point; returns the full JSON report."""
+    """One fresh server per load point; returns the full JSON report.
+
+    ``train_engine`` is the retraining engine of the served model's
+    (untimed) training step.
+    """
     _, _, queries = make_workload(seed=seed)
     cfg = config or ServeConfig()
     model = train_model(dim=dim, packed=packed, seed=seed,
-                        train_engine=cfg.config.train_engine or "auto")
+                        train_engine=train_engine)
     points: List[Dict] = []
     for rate in rates:
         server = InferenceServer(cfg)
@@ -198,6 +203,7 @@ def run_bench(
         "harness": "repro.serve.bench",
         "model": {"kind": "packed" if packed else "classifier", "dim": dim},
         "config": dataclasses.asdict(cfg),
+        "train_engine": train_engine,
         "load_points": points,
     }
 
@@ -237,11 +243,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         queue_high=args.queue_high,
         p95_target=(args.p95_target_ms / 1e3
                     if args.p95_target_ms is not None else None),
-        config=ComputeConfig(train_engine=args.train_engine),
     )
     report = run_bench(
         rates, n_requests=args.requests, dim=args.dim,
         packed=args.packed, config=config, seed=args.seed,
+        train_engine=args.train_engine,
     )
     text = json.dumps(report, indent=2)
     if args.out:

@@ -17,12 +17,20 @@ per-128-dim prefix norms of the :class:`~repro.core.norms.SubNormTable`
 packed path, prefix Hamming distance is used; binary prefix norms are
 exact by construction.
 
+A deployment serves its *own* shallow copy of the model and of the
+model's encoder (the arrays, tables and packed kernel are shared, not
+duplicated).  The model decides how it computes -- the encode engine is
+its encoder's own setting and ``encode_jobs`` comes from its
+:class:`~repro.core.config.ComputeConfig` -- and the degradation
+ladder's engine and approx fallbacks flip only the deployment's copy,
+never the object the caller passed in.
+
 :class:`ModelRegistry` maps names to deployments and supports hot swap
 two ways: re-registering a name replaces the deployment wholesale
 (fresh state), while :meth:`ModelRegistry.swap` installs a new model
-*version* that inherits the old deployment's serving state -- min_dim,
-compute config, the degradation ladder's engine-fallback bookkeeping --
-and can optionally drain the old version (block until its in-flight
+*version* that inherits the old deployment's serving state -- min_dim
+and the degradation ladder's fallback bookkeeping -- and can
+optionally drain the old version (block until its in-flight
 batches finish; new batches already land on the new version).  Workers
 bracket their use of a deployment with :meth:`Deployment.serving`, so a
 drain is precise rather than a sleep.
@@ -44,7 +52,6 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from repro.core.classifier import HDClassifier
-from repro.core.config import ComputeConfig
 from repro.core.norms import DEFAULT_BLOCK
 from repro.core.packed import PackedModel
 
@@ -55,44 +62,32 @@ Model = Union[HDClassifier, PackedModel]
 _NOT_DEGRADED = object()
 
 
+def _shallow_copy(obj):
+    """A new instance of ``obj``'s class over a copy of its ``__dict__``.
+
+    Not :func:`copy.copy`: that goes through ``__getstate__``, and an
+    encoder's drops its packed kernel and plan, so the copy's first
+    encode would rebuild the tables.
+    """
+    clone = object.__new__(type(obj))
+    clone.__dict__.update(obj.__dict__)
+    return clone
+
+
 class Deployment:
     """A servable model: batched two-stage inference + shed-dim mapping.
 
-    ``config`` (a :class:`~repro.core.config.ComputeConfig`) carries the
-    compute knobs: ``config.engine`` selects the encoding path when the
-    model's encoder supports one (``"reference"``/``"packed"``/``"auto"``
-    on the GENERIC-family encoders); ``config.encode_jobs`` fans the
-    encode stage out over a thread pool.  The ``engine``/``encode_jobs``
-    kwargs override matching config fields.  Everything defaults to
-    leaving the model as-is.
+    ``model`` is served from a shallow copy of it and of its encoder,
+    so the degradation hooks (:meth:`fallback_engine`,
+    :meth:`fallback_approx`) change only this deployment's encoder.
+    The encode engine and ``encode_jobs`` are the model's own.
     """
 
     def __init__(self, name: str, model: Model, version: int = 1,
                  min_dim: Optional[int] = None,
-                 engine: Optional[str] = None,
-                 encode_jobs: Optional[int] = None,
-                 config: Optional[ComputeConfig] = None,
                  dim_order: Optional[np.ndarray] = None):
         self.name = name
-        self.model = model
         self.version = version
-        self.config = (config.replace() if config is not None
-                       else ComputeConfig())
-        if engine is not None:
-            self.config.engine = engine
-        if encode_jobs is not None:
-            self.config.encode_jobs = encode_jobs
-        self.encode_jobs = self.config.encode_jobs
-        engine = self.config.engine
-        if engine is not None:
-            encoder = model.encoder
-            if not hasattr(encoder, "engine"):
-                raise ValueError(
-                    f"deployment {name!r}: {type(encoder).__name__} has "
-                    "no selectable engine"
-                )
-            encoder.engine = engine
-        self.engine = engine
         # engine the degradation ladder saved before a fallback (tier 1)
         self._engine_before_fallback: Optional[str] = None
         # approx_folds saved before the ladder's approx tier engaged
@@ -115,6 +110,8 @@ class Deployment:
                 f"cannot deploy {type(model).__name__}; expected "
                 "HDClassifier or PackedModel"
             )
+        self.model = _shallow_copy(model)
+        self.model.encoder = _shallow_copy(model.encoder)
 
         if min_dim is None:
             # default floor: shed down to a quarter of the dimensions,
@@ -195,11 +192,9 @@ class Deployment:
         """Stage 1: raw features -> model-native query representation."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if self.kind == "packed":
-            if self.encode_jobs is not None:
-                self.model.encode_jobs = self.encode_jobs
             return self.model.encode_packed(X)
         encoded = self.model.encoder.encode_batch(
-            X, n_jobs=self.encode_jobs, dtype=np.float64
+            X, n_jobs=self.model.config.encode_jobs, dtype=np.float64
         )
         if self.dim_order is not None:
             # regenerated layout: queries permute to match the permuted
@@ -247,8 +242,8 @@ class Deployment:
         encoders without a selectable engine or when already fallen
         back.  The previous engine is saved for :meth:`restore_engine`.
         """
-        encoder = getattr(self.model, "encoder", None)
-        if encoder is None or not hasattr(encoder, "engine"):
+        encoder = self.model.encoder
+        if not hasattr(encoder, "engine"):
             return False
         if self._engine_before_fallback is not None:
             return False
@@ -278,8 +273,8 @@ class Deployment:
         when already engaged.  The previous setting is saved for
         :meth:`restore_approx`.
         """
-        encoder = getattr(self.model, "encoder", None)
-        if encoder is None or not hasattr(encoder, "approx_folds"):
+        encoder = self.model.encoder
+        if not hasattr(encoder, "approx_folds"):
             return False
         if self._approx_before_fallback is not _NOT_DEGRADED:
             return False
@@ -329,10 +324,7 @@ class ModelRegistry:
         self.swaps = 0
 
     def register(self, name: str, model: Model,
-                 min_dim: Optional[int] = None,
-                 engine: Optional[str] = None,
-                 encode_jobs: Optional[int] = None,
-                 config: Optional[ComputeConfig] = None) -> Deployment:
+                 min_dim: Optional[int] = None) -> Deployment:
         """Deploy ``model`` under ``name``; replaces any existing
         deployment wholesale (fresh serving state) and bumps the
         version.  For mid-flight model *updates* prefer :meth:`swap`,
@@ -341,9 +333,7 @@ class ModelRegistry:
         with self._lock:
             previous = self._deployments.get(name)
             version = previous.version + 1 if previous else 1
-            dep = Deployment(name, model, version=version, min_dim=min_dim,
-                             engine=engine, encode_jobs=encode_jobs,
-                             config=config)
+            dep = Deployment(name, model, version=version, min_dim=min_dim)
             self._deployments[name] = dep
             return dep
 
@@ -355,12 +345,12 @@ class ModelRegistry:
 
         Unlike :meth:`register`, the deployment must already exist and
         the new version inherits its serving state: ``min_dim`` (when
-        the dimensionality is unchanged), the compute config, and the
-        degradation ladder's engine-fallback bookkeeping, so a hot swap
-        in the middle of a degraded period does not silently undo the
-        ladder's tier-1 effect.  The version is bumped under the
-        registry lock -- concurrent :meth:`get` sees either the old or
-        the new deployment, never a torn mix, and versions are strictly
+        the dimensionality is unchanged) and the degradation ladder's
+        engine and approx fallback bookkeeping, so a hot swap in the
+        middle of a degraded period does not silently undo the ladder's
+        effect.  The version is bumped under the registry lock --
+        concurrent :meth:`get` sees either the old or the new
+        deployment, never a torn mix, and versions are strictly
         monotonic per name.
 
         ``dim_order`` installs (or, left ``None``, clears) a
@@ -385,32 +375,19 @@ class ModelRegistry:
                        else model.encoder.dim)
             min_dim = old.min_dim if new_dim == old.dim else None
             dep = Deployment(name, model, version=old.version + 1,
-                             min_dim=min_dim, config=old.config,
-                             dim_order=dim_order)
-            if old._engine_before_fallback is not None:
+                             min_dim=min_dim, dim_order=dim_order)
+            new_enc, old_enc = dep.model.encoder, old.model.encoder
+            if old.degraded and hasattr(new_enc, "engine"):
                 # the ladder degraded the old version to a simpler
                 # engine; keep the new version on the same tier so
                 # recovery (restore_engine) stays symmetric
-                encoder = getattr(dep.model, "encoder", None)
-                if encoder is not None and hasattr(encoder, "engine"):
-                    dep._engine_before_fallback = old._engine_before_fallback
-                    fallen = getattr(
-                        getattr(old.model, "encoder", None), "engine", None
-                    )
-                    if fallen is not None:
-                        encoder.engine = fallen
-            if old._approx_before_fallback is not _NOT_DEGRADED:
+                dep._engine_before_fallback = old._engine_before_fallback
+                new_enc.engine = old_enc.engine
+            if old.approx_degraded and hasattr(new_enc, "approx_folds"):
                 # same symmetry for the approx tier: the new version
                 # keeps encoding approximately until restore_approx()
-                encoder = getattr(dep.model, "encoder", None)
-                if encoder is not None and hasattr(encoder, "approx_folds"):
-                    dep._approx_before_fallback = old._approx_before_fallback
-                    degraded_folds = getattr(
-                        getattr(old.model, "encoder", None),
-                        "approx_folds", None,
-                    )
-                    if degraded_folds is not None:
-                        encoder.approx_folds = degraded_folds
+                dep._approx_before_fallback = old._approx_before_fallback
+                new_enc.approx_folds = old_enc.approx_folds
             self._deployments[name] = dep
             self.swaps += 1
         if drain:

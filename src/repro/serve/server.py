@@ -65,7 +65,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.config import UNSET, ComputeConfig
 from repro.obs import distributed as obs_distributed
 from repro.obs import trace as obs_trace
 from repro.obs.recorder import FlightRecorder
@@ -87,28 +86,23 @@ from repro.serve.resilience.breaker import BreakerConfig, CircuitBreaker
 from repro.serve.resilience.degrade import DegradationLadder, DegradeConfig
 from repro.serve.resilience.retry import RetryPolicy, RetryScheduler
 
-_LEGACY_COMPUTE_KWARGS = ("engine", "encode_jobs", "train_engine")
-
 #: seconds between stop-flag checks of idle loops (workers, supervisor)
 POLL = 0.05
 
 
 @dataclass
 class ServeConfig:
-    """All serving knobs in one place (defaults favor small test rigs)."""
+    """All serving knobs in one place (defaults favor small test rigs).
+
+    Compute settings are not serving knobs: the encode engine is the
+    deployed model's encoder's own, and ``encode_jobs`` comes from the
+    model's :class:`~repro.core.config.ComputeConfig`.
+    """
 
     max_batch: int = 32          # micro-batch size cap
     max_wait: float = 0.002      # linger (s) after the first request of a batch
     n_workers: int = 2
     queue_size: int = 1024       # admission bound; beyond it -> QueueFull
-    # -- compute stage ------------------------------------------------------
-    #: consolidated compute knobs (engine / encode_jobs / train_engine /
-    #: train_memory_budget); the deprecated ``engine``/``encode_jobs``/
-    #: ``train_engine`` kwargs below fold into it with a warning
-    config: Optional[ComputeConfig] = None
-    engine: Optional[str] = None        # DEPRECATED: use config=
-    encode_jobs: Optional[int] = None   # DEPRECATED: use config=
-    train_engine: Optional[str] = None  # DEPRECATED: use config=
     # -- load shedding ------------------------------------------------------
     max_shed_level: int = 24     # each level drops 128 dims (clamped per model)
     queue_high: int = 32         # shed when depth reaches this
@@ -136,21 +130,6 @@ class ServeConfig:
     postmortem_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
-        # legacy kwargs fold into the consolidated config through the
-        # one shim path (single DeprecationWarning site, see
-        # repro.core.compat); None here means "not passed"
-        legacy = {k: getattr(self, k) for k in _LEGACY_COMPUTE_KWARGS
-                  if getattr(self, k) is not None}
-        compute = ComputeConfig.from_kwargs(
-            self.config, owner=type(self).__name__, stacklevel=4,
-            **{k: legacy.get(k, UNSET) for k in _LEGACY_COMPUTE_KWARGS},
-        )
-        self.config = compute
-        # mirror so legacy attribute reads keep working; ``config`` is
-        # the source of truth everywhere inside the server
-        self.engine = compute.engine
-        self.encode_jobs = compute.encode_jobs
-        self.train_engine = compute.train_engine
         if self.breaker is None:
             self.breaker = BreakerConfig()
         if self.degrade is None:
@@ -862,11 +841,10 @@ class Server:
 class ThreadExecutor(Executor):
     """``n_workers`` threads, each pulling batches and serving them inline.
 
-    The encode stage runs whatever engine the deployment selected
-    (``ServeConfig.config.engine`` / ``register(engine=...)``): with
-    the GENERIC encoders that is the bit-packed XOR kernel of
-    :mod:`repro.core.kernels`, so the threads spend their time in
-    GIL-releasing NumPy word ops.  A chaos kill ends the worker's
+    The encode stage runs on the engine the deployed model's encoder
+    was built with: for the GENERIC encoders' default (``"auto"``) that
+    is the bit-packed XOR kernel of :mod:`repro.core.kernels`, so the
+    threads spend their time in GIL-releasing NumPy word ops.  A chaos kill ends the worker's
     thread the way a crash would; the supervisor respawns it.
     """
 
@@ -1018,19 +996,14 @@ class InferenceServer(Server):
         super().__init__(config, ThreadExecutor(config.n_workers), chaos)
 
     def register(self, name: str, model: Model,
-                 min_dim: Optional[int] = None,
-                 engine: Optional[str] = None,
-                 encode_jobs: Optional[int] = None) -> Deployment:
+                 min_dim: Optional[int] = None) -> Deployment:
         """Deploy (or hot-swap) ``model`` under ``name``.
 
-        The server's :class:`~repro.core.config.ComputeConfig` seeds the
-        deployment; ``engine``/``encode_jobs`` override it per model.
+        The deployment serves its own copy of ``model`` (see
+        :class:`~repro.serve.registry.Deployment`) with the encode
+        engine and ``encode_jobs`` the model was built with.
         """
-        dep = self.registry.register(
-            name, model, min_dim=min_dim,
-            engine=engine, encode_jobs=encode_jobs,
-            config=self.config.config,
-        )
+        dep = self.registry.register(name, model, min_dim=min_dim)
         self._set_version(name, dep.version)
         return dep
 

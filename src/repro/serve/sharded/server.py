@@ -680,9 +680,7 @@ class ShardedServer(Server):
                  min_dim: Optional[int] = None) -> Deployment:
         """Deploy ``model`` on every shard (packed, one shared image)."""
         packed = self._pack(model)
-        dep = self.registry.register(
-            name, packed, min_dim=min_dim, config=self.config.config,
-        )
+        dep = self.registry.register(name, packed, min_dim=min_dim)
         self.executor.deploy(name, packed, dep.version)
         self._set_version(name, dep.version)
         return dep

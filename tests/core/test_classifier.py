@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.classifier import HDClassifier
+from repro.core.config import ComputeConfig
 from repro.core.encoders import GenericEncoder, LevelIdEncoder
 
 DIM = 256
@@ -139,18 +140,19 @@ class TestModelSurgery:
         clone = clf.with_model(clf.model_.copy())
         assert clone.score(X_test, y_test) == clf.score(X_test, y_test)
 
-    def test_with_model_preserves_configuration(self, fitted_generic_classifier):
-        clf = fitted_generic_classifier
-        clf.seed = 123
-        clf.train_engine = "gram"
-        clf.train_memory_budget = 2**20
-        clf.encode_jobs = 2
+    def test_with_model_preserves_configuration(self, toy_problem):
+        # its own classifier: the session-scoped fixture is shared
+        X_train, y_train, _, _ = toy_problem
+        clf = HDClassifier(
+            GenericEncoder(dim=DIM, seed=3), epochs=1, seed=123,
+            config=ComputeConfig(train_engine="gram",
+                                 train_memory_budget=2**20, encode_jobs=2),
+        ).fit(X_train, y_train)
         clone = clf.with_model(clf.model_.copy())
         assert clone.seed == 123
-        assert clone.engine == clf.engine
-        assert clone.encode_jobs == 2
-        assert clone.train_engine == "gram"
-        assert clone.train_memory_budget == 2**20
+        assert clone.encoder is clf.encoder
+        assert clone.config == ComputeConfig(
+            encode_jobs=2, train_engine="gram", train_memory_budget=2**20)
 
 
 class TestEncoderInterplay:

@@ -95,20 +95,11 @@ class TestClusterEngineControls:
         assert np.array_equal(serial.centroids_, fanned.centroids_)
         assert np.array_equal(serial.predict(X[:20]), fanned.predict(X[:20]))
 
-    def test_engine_forwarded_to_encoder(self, blobs):
+    def test_engine_choice_never_changes_labels(self, blobs):
         X, _ = blobs
-        enc = GenericEncoder(dim=DIM, seed=1)
-        clu = HDCluster(enc, k=3, epochs=3,
-                        config=ComputeConfig(engine="reference"))
-        assert enc.engine == "reference"
-        ref_labels = clu.fit(X).labels_
-        enc2 = GenericEncoder(dim=DIM, seed=1)
-        packed = HDCluster(enc2, k=3, epochs=3,
-                           config=ComputeConfig(engine="packed")).fit(X)
-        assert np.array_equal(ref_labels, packed.labels_)
-
-    def test_engine_rejected_without_support(self):
-        class Plain:
-            fitted = True
-        with pytest.raises(ValueError, match="selectable engine"):
-            HDCluster(Plain(), k=2, config=ComputeConfig(engine="packed"))
+        runs = [HDCluster(GenericEncoder(dim=DIM, seed=1, engine=engine),
+                          k=3, epochs=3).fit(X)
+                for engine in ("reference", "packed")]
+        assert runs[0].encoder.engine == "reference"
+        assert np.array_equal(runs[0].labels_, runs[1].labels_)
+        assert np.array_equal(runs[0].centroids_, runs[1].centroids_)

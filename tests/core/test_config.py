@@ -1,9 +1,9 @@
-"""ComputeConfig: the consolidated compute-knob API and its legacy shims."""
+"""ComputeConfig: the one compute-knob API of the model classes."""
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
-import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ import pytest
 from repro.core import ComputeConfig
 from repro.core.classifier import HDClassifier
 from repro.core.clustering import HDCluster
-from repro.core.config import UNSET
 from repro.core.encoders import GenericEncoder
 from repro.core.online import AdaptiveHDClassifier
 from repro.core.packed import PackedModel
@@ -20,43 +19,21 @@ from repro.core.packed import PackedModel
 class TestComputeConfig:
     def test_defaults(self):
         cfg = ComputeConfig()
-        assert cfg.engine is None
         assert cfg.encode_jobs is None
         assert cfg.train_engine == "auto"
         assert cfg.train_memory_budget is None
 
     def test_replace_is_a_copy(self):
-        cfg = ComputeConfig(engine="packed")
+        cfg = ComputeConfig(train_engine="gram")
         clone = cfg.replace(encode_jobs=2)
-        assert clone.engine == "packed" and clone.encode_jobs == 2
+        assert clone.train_engine == "gram" and clone.encode_jobs == 2
         assert cfg.encode_jobs is None  # original untouched
-        clone.engine = "reference"
-        assert cfg.engine == "packed"
-
-    def test_dict_round_trip(self):
-        cfg = ComputeConfig(engine="reference", encode_jobs=3,
-                            train_engine="gram", train_memory_budget=1 << 20)
-        assert ComputeConfig.from_dict(cfg.to_dict()) == cfg
+        clone.train_engine = "reference"
+        assert cfg.train_engine == "gram"
 
     def test_pickle_round_trip(self):
-        cfg = ComputeConfig(engine="packed", train_engine="gram")
+        cfg = ComputeConfig(encode_jobs=3, train_engine="gram")
         assert pickle.loads(pickle.dumps(cfg)) == cfg
-
-    def test_unset_sentinel_is_singleton_through_pickle(self):
-        assert pickle.loads(pickle.dumps(UNSET)) is UNSET
-
-    def test_from_kwargs_merges_and_warns(self):
-        base = ComputeConfig(engine="packed")
-        with pytest.warns(DeprecationWarning, match="encode_jobs"):
-            out = ComputeConfig.from_kwargs(base, encode_jobs=4, owner="X")
-        assert out.engine == "packed" and out.encode_jobs == 4
-        assert base.encode_jobs is None  # input config never mutated
-
-    def test_from_kwargs_no_legacy_no_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = ComputeConfig.from_kwargs(ComputeConfig(engine="reference"))
-        assert out.engine == "reference"
 
 
 @pytest.fixture()
@@ -65,49 +42,43 @@ def encoder():
 
 
 class TestLegacyKwargShims:
-    """Every user-facing class accepts config= and warns on old kwargs."""
+    """config= is the only way in; the old per-knob kwargs are gone."""
 
-    def test_classifier_warns_on_legacy_kwargs(self, encoder):
-        with pytest.warns(DeprecationWarning, match="train_engine"):
-            clf = HDClassifier(encoder, train_engine="gram")
-        assert clf.train_engine == "gram"
-        assert clf.config.train_engine == "gram"
+    @pytest.mark.parametrize("make", [
+        lambda enc, **kw: HDClassifier(enc, **kw),
+        lambda enc, **kw: AdaptiveHDClassifier(enc, **kw),
+        lambda enc, **kw: HDCluster(enc, k=3, **kw),
+    ], ids=["classifier", "adaptive", "cluster"])
+    @pytest.mark.parametrize("kwarg", [
+        {"engine": "packed"}, {"encode_jobs": 2},
+    ], ids=["engine", "encode_jobs"])
+    def test_legacy_kwargs_are_rejected(self, encoder, make, kwarg):
+        with pytest.raises(TypeError):
+            make(encoder, **kwarg)
 
     def test_classifier_accepts_config_silently(self, encoder):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            clf = HDClassifier(
-                encoder, config=ComputeConfig(train_engine="gram",
-                                              encode_jobs=2),
-            )
-        assert clf.train_engine == "gram" and clf.encode_jobs == 2
-
-    def test_classifier_properties_write_through(self, encoder):
-        clf = HDClassifier(encoder)
-        clf.train_engine = "reference"
-        clf.encode_jobs = 2
-        assert clf.config.train_engine == "reference"
+        clf = HDClassifier(
+            encoder, config=ComputeConfig(train_engine="gram",
+                                          encode_jobs=2),
+        )
+        assert clf.config.train_engine == "gram"
         assert clf.config.encode_jobs == 2
+        assert encoder.engine == "auto"  # the encoder keeps its own
 
     def test_adaptive_classifier_forwards(self, encoder):
-        with pytest.warns(DeprecationWarning, match="encode_jobs"):
-            clf = AdaptiveHDClassifier(encoder, encode_jobs=2)
+        clf = AdaptiveHDClassifier(encoder,
+                                   config=ComputeConfig(encode_jobs=2))
         assert clf.config.encode_jobs == 2
 
     def test_cluster_forwards(self, encoder):
-        with pytest.warns(DeprecationWarning, match="encode_jobs"):
-            clu = HDCluster(encoder, k=3, encode_jobs=2)
-        assert clu.config.encode_jobs == 2
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            clu = HDCluster(encoder, k=3, config=ComputeConfig(encode_jobs=1))
-        assert clu.encode_jobs == 1
+        clu = HDCluster(encoder, k=3, config=ComputeConfig(encode_jobs=1))
+        assert clu.config.encode_jobs == 1
 
     def test_config_is_copied_on_ingestion(self, encoder):
         shared = ComputeConfig(encode_jobs=2)
         clf = HDClassifier(encoder, config=shared)
         shared.encode_jobs = 8
-        assert clf.encode_jobs == 2
+        assert clf.config.encode_jobs == 2
 
 
 class TestRoundTrips:
@@ -139,9 +110,11 @@ class TestRoundTrips:
             clf, config=ComputeConfig(encode_jobs=2)
         )
         assert packed.config.encode_jobs == 2
-        with pytest.warns(DeprecationWarning, match="encode_jobs"):
-            packed = PackedModel.from_classifier(clf, encode_jobs=3)
-        assert packed.encode_jobs == 3
+        assert PackedModel.from_classifier(clf).config == ComputeConfig()
+        with pytest.raises(TypeError):
+            PackedModel.from_classifier(clf, encode_jobs=3)
+        with pytest.raises(TypeError):
+            PackedModel.from_classifier(clf, engine="packed")
 
     def test_packed_with_words_carries_config(self, toy_problem, encoder):
         X, y, _, _ = toy_problem
@@ -155,21 +128,13 @@ class TestRoundTrips:
 
 
 class TestServeConfigIntegration:
-    def test_serve_config_folds_legacy_kwargs(self):
+    def test_serve_config_has_no_compute_fields(self):
         from repro.serve import ServeConfig
+        from repro.serve.sharded import ShardedServeConfig
 
-        with pytest.warns(DeprecationWarning, match="train_engine"):
-            cfg = ServeConfig(train_engine="gram", engine="packed")
-        assert cfg.config.train_engine == "gram"
-        assert cfg.config.engine == "packed"
-        # mirrored legacy attributes keep reading correctly
-        assert cfg.train_engine == "gram" and cfg.engine == "packed"
-
-    def test_serve_config_accepts_compute_config(self):
-        from repro.serve import ServeConfig
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            cfg = ServeConfig(config=ComputeConfig(engine="reference"))
-        assert cfg.config.engine == "reference"
-        assert cfg.engine == "reference"
+        compute = {"config", "engine", "encode_jobs", "train_engine"}
+        for cls in (ServeConfig, ShardedServeConfig):
+            names = {f.name for f in dataclasses.fields(cls)}
+            assert not names & compute
+            with pytest.raises(TypeError):
+                cls(engine="packed")

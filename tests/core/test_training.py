@@ -99,7 +99,7 @@ class TestEncodeFanOut:
     def test_default_fit_matches_serial_encode(self):
         fanned = self._fit_with(ComputeConfig())
         serial = self._fit_with(ComputeConfig(encode_jobs=1))
-        assert fanned.encode_jobs is None
+        assert fanned.config.encode_jobs is None
         assert np.array_equal(fanned.classes_, serial.classes_)
         assert sum(serial.report_.updates_per_epoch) > 0  # non-trivial
         _assert_identical(serial, fanned)

@@ -70,32 +70,27 @@ class TestDeployment:
         with pytest.raises(ValueError):
             Deployment("m", serve_classifier, min_dim=1024)  # > dim
 
-    @pytest.fixture
-    def restore_engine(self, serve_classifier):
-        yield
-        serve_classifier.encoder.engine = "auto"  # session-scoped fixture
-
-    def test_engine_flag_applied_to_encoder(self, serve_classifier, restore_engine):
-        Deployment("m", serve_classifier, engine="reference")
-        assert serve_classifier.encoder.engine == "reference"
-        Deployment("m", serve_classifier, engine="packed")
-        assert serve_classifier.encoder.engine == "packed"
-
     def test_engine_choice_never_changes_predictions(
-        self, serve_classifier, serve_queries, restore_engine
+        self, toy_problem, serve_queries
     ):
-        ref = Deployment("m", serve_classifier, engine="reference")
-        ref_out = ref.predict(serve_queries)
-        packed = Deployment("m", serve_classifier, engine="packed")
-        assert np.array_equal(packed.predict(serve_queries), ref_out)
+        X_train, y_train, _, _ = toy_problem
+        outs = []
+        for engine in ("reference", "packed"):
+            enc = GenericEncoder(dim=512, num_levels=16, seed=11,
+                                 engine=engine)
+            clf = HDClassifier(enc, epochs=4, seed=11).fit(X_train, y_train)
+            dep = Deployment("m", clf)
+            assert dep.model.encoder.engine == engine
+            outs.append(dep.predict(serve_queries))
+        assert np.array_equal(outs[0], outs[1])
 
     def test_encode_jobs_never_changes_predictions(
         self, serve_classifier, serve_queries
     ):
         serial = Deployment("m", serve_classifier).predict(serve_queries)
-        fanned = Deployment(
-            "m", serve_classifier, encode_jobs=3
-        ).predict(serve_queries)
+        clf = serve_classifier.with_model(serve_classifier.model_)
+        clf.config.encode_jobs = 3
+        fanned = Deployment("m", clf).predict(serve_queries)
         assert np.array_equal(serial, fanned)
 
     def test_engine_on_unsupported_encoder_rejected(self, toy_problem):
@@ -105,8 +100,20 @@ class TestDeployment:
         clf = HDClassifier(
             RandomProjectionEncoder(dim=256, seed=1), epochs=1
         ).fit(X_train, y_train)
-        with pytest.raises(ValueError, match="no selectable engine"):
-            Deployment("m", clf, engine="packed")
+        # the ladder's engine fallback is a no-op without an engine
+        assert not Deployment("m", clf).fallback_engine("reference")
+
+    def test_deployment_copy_shares_the_packed_kernel(self, serve_packed,
+                                                      serve_queries):
+        serve_packed.encode_packed(serve_queries[:1])  # kernel built
+        dep = Deployment("m", serve_packed)
+        assert dep.model is not serve_packed
+        assert dep.model.encoder is not serve_packed.encoder
+        assert dep.model.class_words is serve_packed.class_words
+        assert dep.model.encoder._kernel is serve_packed.encoder._kernel
+        assert dep.model.encoder._plan is serve_packed.encoder._plan
+        assert np.array_equal(dep.encode(serve_queries),
+                              serve_packed.encode_packed(serve_queries))
 
 
 class TestModelRegistry:
@@ -182,15 +189,27 @@ class TestSwap:
         dep = reg.register("a", serve_classifier)
         dep.fallback_engine("reference")
         clone = serve_classifier.with_model(serve_classifier.model_.copy())
-        try:
-            new = reg.swap("a", clone)
-            # still degraded, and restore undoes it on the new deployment
-            assert new.degraded
-            assert clone.encoder.engine == "reference"
-            new.restore_engine()
-            assert not new.degraded
-        finally:
-            serve_classifier.encoder.engine = "auto"
+        new = reg.swap("a", clone)
+        # still degraded, and restore undoes it on the new deployment
+        assert new.degraded
+        assert new.model.encoder.engine == "reference"
+        assert serve_classifier.encoder.engine == "auto"
+        new.restore_engine()
+        assert not new.degraded
+        assert new.model.encoder.engine == "auto"
+
+    def test_approx_fallback_state_survives_swap(self, serve_classifier):
+        reg = ModelRegistry()
+        dep = reg.register("a", serve_classifier)
+        assert dep.fallback_approx(0.5)
+        folds = dep.model.encoder.approx_folds
+        clone = serve_classifier.with_model(serve_classifier.model_.copy())
+        new = reg.swap("a", clone)
+        assert new.approx_degraded
+        assert new.model.encoder.approx_folds == folds
+        assert clone.encoder.approx_folds is None
+        new.restore_approx()
+        assert new.model.encoder.approx_folds is None
 
     def test_serving_tracks_inflight_and_drain(self, serve_classifier):
         dep = Deployment("a", serve_classifier)

@@ -487,9 +487,22 @@ class TestDegradationLadder:
                 time.sleep(0.01)
             assert server.ladder.tier >= 1
             stats = server.stats()
-            # undo the tier-1 engine fallback on the session fixture
-            server.ladder.force_tier(0)
         assert stats["resilience"]["ladder"]["escalations"] >= 1
+
+    def test_stopped_while_degraded_leaves_the_callers_model(
+            self, serve_classifier, serve_queries):
+        # the deployment degrades its own copy of the model's encoder;
+        # the classifier the caller registered keeps its settings
+        encoder = serve_classifier.encoder
+        engine, folds = encoder.engine, encoder.approx_folds
+        server = InferenceServer(ServeConfig(n_workers=1))
+        server.register("m", serve_classifier)
+        with server:
+            server.ladder.force_tier(2)
+            dep = server.registry.get("m")
+            assert dep.degraded and dep.approx_degraded
+            server.predict("m", serve_queries[0], timeout=10.0)
+        assert (encoder.engine, encoder.approx_folds) == (engine, folds)
 
 
 # ---------------------------------------------------------------------------

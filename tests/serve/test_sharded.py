@@ -422,8 +422,7 @@ class TestCrashRecovery:
     def test_respawned_shard_keeps_the_engine_fallback(
             self, toy_problem, serve_queries):
         # a shard respawned while its deployment is engine-degraded must
-        # encode on the fallback engine like the shard it replaced.  The
-        # model is fitted here: the fallback mutates its encoder
+        # encode on the fallback engine like the shard it replaced
         X_train, y_train, _, _ = toy_problem
         clf = HDClassifier(GenericEncoder(dim=512, num_levels=16, seed=11),
                            epochs=1, seed=11).fit(X_train, y_train)

@@ -104,13 +104,12 @@ class TestStreamLoop:
     def test_ladder_dim_shed_hook_regenerates(self, loop_rig,
                                               stream_classifier):
         server, loop = loop_rig
-        try:
-            server.ladder.force_tier(3)  # dim_shed tier fires the hook
-            assert loop.regens == 1
-            assert server.registry.get("m").dim_order is not None
-        finally:  # lower tiers flip the session-scoped encoder's state
-            stream_classifier.encoder.engine = "auto"
-            stream_classifier.encoder.approx_folds = None
+        server.ladder.force_tier(3)  # dim_shed tier fires the hook
+        assert loop.regens == 1
+        assert server.registry.get("m").dim_order is not None
+        # the lower tiers flipped only the deployment's encoder copy
+        assert stream_classifier.encoder.engine == "auto"
+        assert stream_classifier.encoder.approx_folds is None
 
     def test_serving_continues_across_swaps(self, loop_rig, drift_stream):
         server, loop = loop_rig
