@@ -6,7 +6,9 @@ Counterpart of ``bench_encode.py`` for the fit() hot path.  For each
 the Gram-cached engine on the same synthetic workload, verifies the two
 runs are **result-identical** (same class-vector matrix, same sub-norm
 table, same per-epoch update counts and accuracies), and writes both
-the retrain-phase and end-to-end timings to ``BENCH_train.json``.
+the retrain-phase and end-to-end timings to ``BENCH_train.json``,
+with the dtype of the encodings the fit trained on and the peak traced
+memory of one extra, untimed Gram-engine fit.
 
 The speedup gate applies to the retrain phase (``report_.seconds``) --
 that is the stage the Gram engine replaces; encoding is shared by both
@@ -33,6 +35,7 @@ import pathlib
 import resource
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -87,6 +90,19 @@ def _time_fit(engine: str, X, y, dim: int, epochs: int, repeats: int):
     return best_fit, best_retrain, clf
 
 
+def _fit_peak_mb(engine: str, X, y, dim: int, epochs: int) -> float:
+    """Peak traced (``tracemalloc``) memory of one untimed fit, in MiB."""
+    clf = HDClassifier(GenericEncoder(dim=dim, num_levels=32, seed=1),
+                       epochs=epochs, seed=1,
+                       config=ComputeConfig(train_engine=engine))
+    tracemalloc.start()
+    try:
+        clf.fit(X, y)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def _identical(ref: HDClassifier, gram: HDClassifier) -> bool:
     """Result-identity: same model, norms and training trajectory."""
     return (
@@ -125,6 +141,10 @@ def run_grid(grid, repeats: int = 3, min_speedup_scale: float = 1.0):
         plan = clfs["gram"].train_plan_
         report = clfs["gram"].report_
         point["gram_plan"] = {"engine": plan.engine, "kernel": plan.kernel,
+                              "kernel_dtype": plan.kernel_dtype,
+                              "encodings_dtype": plan.encodings_dtype,
+                              "fit_peak_mb": round(_fit_peak_mb(
+                                  "gram", X, y, dim, epochs), 1),
                               "cache_mb": round(plan.cache_bytes / 2**20, 2),
                               "gram_columns": report.gram_columns,
                               "kernel_built": report.gram_kernel_built}

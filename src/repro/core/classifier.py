@@ -110,9 +110,14 @@ class HDClassifier:
             raise ValueError(f"X has {len(X)} rows but y has {len(y)} labels")
         if not self.encoder.fitted:
             self.encoder.fit(X)
-        # counts land straight in the float64 matrix retraining works on
+        # counts land straight in the matrix retraining works on: float32
+        # (half of float64's footprint) for the paper's integer rule
+        # whenever it holds every count exactly, else float64
+        f32 = (self.train_rule == "paper"
+               and self.encoder.holds_counts(np.float32))
         encodings = self.encoder.encode_batch(
-            X, n_jobs=self.config.encode_jobs, dtype=np.float64
+            X, n_jobs=self.config.encode_jobs,
+            dtype=np.float32 if f32 else np.float64,
         )
         # encoders return integer counts (Encoder._encode_chunk), which
         # lets the training planner skip its whole-array integer check
@@ -126,11 +131,7 @@ class HDClassifier:
             raise ValueError(
                 f"encoder dim {dim} must be a multiple of norm_block={self.norm_block}"
             )
-        # class init as a one-hot GEMM: one BLAS call instead of the much
-        # slower np.add.at scatter; exact for the integer encodings
-        onehot = np.zeros((len(y_idx), n_classes), dtype=np.float64)
-        onehot[np.arange(len(y_idx)), y_idx] = 1.0
-        model = onehot.T @ encodings
+        model = training.class_sums(encodings, y_idx, n_classes)
 
         self.model_ = model
         self.norms_ = SubNormTable(n_classes, dim, block=self.norm_block)

@@ -126,18 +126,46 @@ class Encoder(ABC):
         result is identical for any worker count.
 
         ``dtype`` is the output matrix's dtype: ``int32`` by default, or
-        any dtype that holds every int32 exactly (``np.float64`` hands
-        the trainer its matrix with no int32 staging copy; each chunk's
-        counts are cast as they are written).
+        any dtype that :meth:`holds_counts` (``np.float64`` always,
+        ``np.float32`` when :attr:`max_abs_count` is at most 2**24);
+        each chunk's counts are cast as they are written, so the trainer
+        gets its matrix with no int32 staging copy.
         """
         dtype = np.dtype(dtype)
-        if not np.can_cast(np.int32, dtype, casting="safe"):
+        if not self.holds_counts(dtype):
             raise ValueError(
-                f"dtype {dtype} cannot hold int32 counts exactly"
+                f"dtype {dtype} cannot hold this encoder's counts exactly "
+                f"(|count| <= {self.max_abs_count})"
             )
         return self._encode_rows(
             X, chunk, n_jobs, self._encode_chunk, self.dim, dtype
         )
+
+    @property
+    def max_abs_count(self) -> Optional[int]:
+        """Bound on ``|count|`` in any encoded dimension (None: unbounded).
+
+        Derived from the fitted shape, never set: a bundle of ``m``
+        bipolar terms stays within ``[-m, m]``.  The default claims no
+        bound; encoders that bundle a fixed number of terms override it.
+        """
+        self._check_fitted()
+        return None
+
+    def holds_counts(self, dtype) -> bool:
+        """True when ``dtype`` stores every count this encoder emits exactly.
+
+        Any dtype that holds every int32 does; a float dtype with a
+        ``p``-bit significand also does when :attr:`max_abs_count` is at
+        most ``2**p`` (2**24 for float32), since every integer up to
+        there is representable.
+        """
+        dtype = np.dtype(dtype)
+        if np.can_cast(np.int32, dtype, casting="safe"):
+            return True
+        bound = self.max_abs_count
+        return (dtype.kind == "f" and bound is not None
+                and bound <= 2 ** (np.finfo(dtype).nmant + 1))
 
     def encode_signs_packed(
         self,

@@ -189,6 +189,11 @@ class GenericEncoder(Encoder):
         self._check_fitted()
         return self.n_features - self.window + 1
 
+    @property
+    def max_abs_count(self) -> int:
+        """One bipolar window product per window (multifold folds fewer)."""
+        return self.n_windows
+
     # -- encoding (through the encode plan) --------------------------------
 
     def encode_plan(self):

@@ -36,6 +36,12 @@ class LevelIdEncoder(Encoder):
     def _allocate(self, X: np.ndarray) -> None:
         self.ids = IdTable(self.rng, self.n_features, self.dim)
 
+    @property
+    def max_abs_count(self) -> int:
+        """One bound bipolar term per feature."""
+        self._check_fitted()
+        return int(self.n_features)
+
     def _encode_chunk(self, X: np.ndarray) -> np.ndarray:
         bins = self.quantizer.transform(X)
         lv = self.levels[bins]  # (B, d, dim) int8

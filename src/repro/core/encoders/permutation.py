@@ -22,6 +22,12 @@ class PermutationEncoder(Encoder):
 
     name = "permute"
 
+    @property
+    def max_abs_count(self) -> int:
+        """One shifted bipolar level per feature."""
+        self._check_fitted()
+        return int(self.n_features)
+
     def _encode_chunk(self, X: np.ndarray) -> np.ndarray:
         bins = self.quantizer.transform(X)
         d = self.n_features

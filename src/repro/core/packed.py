@@ -91,7 +91,7 @@ class PackedModel:
         The model shares the classifier's encoder, so queries encode on
         whatever engine that encoder was built with;
         ``config.encode_jobs`` fans query encoding out over a thread
-        pool.
+        pool.  ``config`` defaults to the classifier's own.
         """
         if clf.model_ is None:
             raise RuntimeError("PackedModel needs a fitted classifier")
@@ -100,7 +100,7 @@ class PackedModel:
         ])
         words = pack_bits(to_binary(signs))
         return cls(clf.encoder, words, clf.classes_, clf.encoder.dim,
-                   config=config)
+                   config=clf.config if config is None else config)
 
     def with_words(self, class_words: np.ndarray,
                    copy: bool = False) -> "PackedModel":

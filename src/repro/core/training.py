@@ -19,12 +19,13 @@ from two caches instead:
   ``O(n_classes · dim)`` matvec per subsequent score.
 
 ``K`` is built by use.  Columns are computed on demand (one GEMV each,
-cached); the whole matrix is built with one BLAS GEMM (in float32 when
-the values provably stay exact -- see below), and the remaining columns
-read from it, only when ``K`` fits the memory budget and the fit needs
-more distinct columns than the GEMM costs.  The need is forecast before
-the first update -- the initial model's mispredictions are the first
-epoch's updates to within a few -- and re-checked as columns are used.
+cached); the whole matrix is built with one BLAS GEMM, and the
+remaining columns read from it, only when ``K`` fits the memory budget
+and the fit needs more distinct columns than the GEMM costs.  Both run
+in float32 when the values provably stay exact (see below).  The need
+is forecast before the first update -- the initial model's
+mispredictions are the first epoch's updates to within a few -- and
+re-checked as columns are used.
 A nearly converged fit touches a handful of columns and never pays the
 GEMM; a noisy one builds ``K`` for its first update.
 
@@ -40,6 +41,23 @@ integer-magnitude precondition up front (a conservative worst-case
 growth bound); ``engine="auto"`` falls back to the reference loop when
 it cannot prove exactness or when the Gram cache would not fit the
 memory budget.
+
+**Why float32 changes nothing either.**  :meth:`HDClassifier.fit
+<repro.core.classifier.HDClassifier.fit>` stores the paper rule's
+encodings ``E`` in float32 when the encoder's count bound
+(:attr:`~repro.core.encoders.base.Encoder.max_abs_count`) is at most
+2**24, so every count is held exactly at half of float64's memory.
+Float32 *arithmetic* is exact on integers whose every intermediate
+stays below 2**24.  For a Gram entry ``E[j]·E[i]`` Cauchy-Schwarz
+bounds every product and every partial sum, over any subset of the
+dimensions, by ``max_i ||h_i||²``; so when the planner's exact float64
+``||h_i||²`` all stay below 2**24, the float32 GEMV of a column and the
+float32 GEMM of ``K`` are exact in whatever order BLAS sums.  Otherwise
+columns and ``K`` run in float64.  Products that mix float64 operands
+with ``E`` -- the dot cache ``model @ E.T``, the class sums, epoch
+scores, block norms -- accumulate in float64 over row blocks of at most
+4 MiB (:func:`_row_blocks`), so no float64 copy of the whole ``E`` is
+ever made.
 
 The adaptive (OnlineHD-style) rule of
 :class:`~repro.core.online.AdaptiveHDClassifier` scales updates by
@@ -71,23 +89,26 @@ DEFAULT_TRAIN_BUDGET = 256 * 2**20
 #: one bit of slack under 2**53 covers the ``2*(C·h) + ||h||²`` deltas
 _EXACT_LIMIT = 2.0**52
 
-#: float32 accumulates integers exactly below 2**24 (used for K)
+#: float32 holds and accumulates integers exactly below 2**24: Gram
+#: columns and ``K`` run in float32 while every ``||h_i||²`` stays below
 _EXACT_LIMIT_F32 = 2.0**24
 
-_EPOCH_CHUNK = 16384  # samples per epoch-end accuracy chunk
+_EPOCH_CHUNK = 16384  # dot-cache columns per _gram_errors chunk
 
 #: one ``K = E·Eᵀ`` GEMM costs as much as ``n / _GEMM_GAIN`` single-
 #: column GEMVs: the break-even in distinct columns past which
 #: :class:`_ColumnProvider` builds ``K``.  Measured at n=2080, D=8192 on
-#: a 2-vCPU Xeon (OpenBLAS): the float32 GEMM (with its cast) took
-#: 0.25 s and the float64 one 0.38 s, a float64 ``E @ E[i]`` 6.7 ms --
-#: a break-even of 37-56 columns, ~40 at that n.
-_GEMM_GAIN = 50
+#: a 2-vCPU Xeon (OpenBLAS) with a float32 ``E``: the float32 GEMM took
+#: 0.20 s and a float32 ``E @ E[i]`` 1.5-1.7 ms, a break-even of 120-135
+#: columns (the float64 pair, 0.36-0.40 s and 3.8-5.7 ms, gives 20-33).
+_GEMM_GAIN = 16
 
-#: rows of ``|E|`` reduced per block by :func:`_bound_stats` (a 4 MiB
-#: temporary at D=8192; 32-256 rows all took ~0.04 s at 2080x8192,
-#: where one whole ``np.abs`` copy took 0.11 s and 136 MB)
-_BOUND_ROWS = 64
+#: bytes of float64 rows per block wherever a float64 product or
+#: reduction reads ``E`` (:func:`_row_blocks`): 64 rows at D=8192, so a
+#: float32 ``E`` is never copied whole to float64.  At 2080x8192,
+#: 32-256-row blocks of :func:`_bound_stats` all took ~0.04 s, where one
+#: whole ``np.abs`` copy took 0.11 s and 136 MB.
+_BLOCK_BYTES = 4 * 2**20
 
 #: samples per vectorized scan block in the gram engine.  The scan
 #: scores a whole block from the cache and jumps to the first
@@ -128,7 +149,10 @@ class TrainPlan:
     exact: bool             # gram proven bit-identical to reference
     kernel: str             # "precomputed" (K fits: built past the
                             # break-even) | "columns" | "none"
-    kernel_dtype: str       # "float32" | "float64" | "-"
+    kernel_dtype: str       # Gram columns and K: "float32" when every
+                            # ||h_i||² < 2**24 (exact by Cauchy-Schwarz),
+                            # else "float64"; "-" for reference
+    encodings_dtype: str    # dtype of the E the fit trained on
     cache_bytes: int        # planned gram-cache footprint
     budget_bytes: int
     reason: str             # why this engine was picked
@@ -143,22 +167,37 @@ class TrainPlan:
 # -- planning ---------------------------------------------------------------
 
 
-def _bound_stats(encodings: np.ndarray):
+def _block_rows(encodings: np.ndarray) -> int:
+    """Rows of ``encodings`` that fill :data:`_BLOCK_BYTES` as float64."""
+    return max(1, _BLOCK_BYTES // (8 * max(1, encodings.shape[1])))
+
+
+def _row_blocks(encodings: np.ndarray) -> List[slice]:
+    """Row slices of ``encodings`` of :func:`_block_rows` rows each."""
+    n, rows = len(encodings), _block_rows(encodings)
+    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+
+
+def _bound_stats(encodings: np.ndarray, h2: Optional[np.ndarray] = None):
     """Per-column L1 / max-abs bounds, reduced in row blocks.
 
-    ``|E|`` is never materialized whole: each block of
-    :data:`_BOUND_ROWS` rows goes through one small ``np.abs`` buffer.
-    Float64 sums of integers below 2**53 are exact in any order, so for
-    integer encodings the blocked ``col_l1`` is bit-equal to
+    ``|E|`` is never materialized whole: each of :func:`_row_blocks`
+    goes through one small float64 ``np.abs`` buffer.  Float64 sums of
+    integers below 2**53 are exact in any order, so for integer
+    encodings the blocked ``col_l1`` is bit-equal to
     ``np.abs(E).sum(axis=0)``; ``col_max`` is a max and order-free.
+    When given, the length-n array ``h2`` is filled with the rows'
+    squared norms ``||h_i||²`` in the same pass (float64, exact).
     """
     n, d = encodings.shape
     col_l1 = np.zeros(d)
     col_max = np.zeros(d)
-    buf = np.empty((min(n, _BOUND_ROWS), d))
-    for start in range(0, n, _BOUND_ROWS):
-        block = np.abs(encodings[start:start + _BOUND_ROWS],
-                       out=buf[:min(_BOUND_ROWS, n - start)])
+    blocks = _row_blocks(encodings)
+    buf = np.empty((blocks[0].stop if blocks else 0, d))
+    for rows in blocks:
+        block = np.abs(encodings[rows], out=buf[:rows.stop - rows.start])
+        if h2 is not None:
+            np.einsum("ij,ij->i", block, block, out=h2[rows])
         col_l1 += block.sum(axis=0)
         np.maximum(col_max, block.max(axis=0), out=col_max)
     return col_l1, col_max
@@ -200,8 +239,14 @@ def plan_retraining(
     rule: str = "paper",
     budget_bytes: Optional[int] = None,
     assume_integral: bool = False,
+    h2: Optional[np.ndarray] = None,
 ) -> TrainPlan:
-    """Pick the retraining engine and Gram-cache layout for one fit."""
+    """Pick the retraining engine and Gram-cache layout for one fit.
+
+    A length-n float64 ``h2`` is filled with the squared norms
+    ``||h_i||²`` whenever the planner scans ``encodings`` (every gram
+    plan does), so the engine reuses them instead of a second pass.
+    """
     if engine not in TRAIN_ENGINES:
         raise ValueError(
             f"unknown train engine {engine!r}; choose from {TRAIN_ENGINES}"
@@ -209,16 +254,19 @@ def plan_retraining(
     budget = DEFAULT_TRAIN_BUDGET if budget_bytes is None else int(budget_bytes)
     n = len(encodings)
 
+    e_dtype = encodings.dtype.name
+
     def reference(reason: str, exact: bool = True) -> TrainPlan:
         return TrainPlan(engine, "reference", rule, exact, "none", "-",
-                         0, budget, reason)
+                         e_dtype, 0, budget, reason)
 
     if engine == "reference":
         return reference("requested")
     if epochs <= 0 or n == 0:
         return reference("nothing to retrain")
 
-    stats = _bound_stats(encodings) if n else None
+    h2 = np.empty(n) if h2 is None else h2
+    stats = _bound_stats(encodings, h2=h2)
     exact = rule == "paper" and _paper_rule_exact(
         encodings, epochs, assume_integral=assume_integral, stats=stats
     )
@@ -240,17 +288,17 @@ def plan_retraining(
         return reference(
             f"dot cache ({g_bytes} B) exceeds the {budget} B budget"
         )
-    kernel_f32 = (
-        stats is not None
-        and float(stats[1].max()) ** 2 * encodings.shape[1] < _EXACT_LIMIT_F32
-    )
+    # Cauchy-Schwarz bounds every product and every partial sum of
+    # E[j]·E[i] by max ||h||², so below 2**24 float32 BLAS is exact in
+    # any summation order
+    kernel_f32 = float(h2.max()) < _EXACT_LIMIT_F32
     k_dtype = "float32" if kernel_f32 else "float64"
     k_bytes = n * n * (4 if kernel_f32 else 8)
     if g_bytes + k_bytes <= budget:
         kernel, cache = "precomputed", g_bytes + k_bytes
     else:
         kernel, cache = "columns", g_bytes  # on-demand columns, budget-gated
-    return TrainPlan(engine, "gram", rule, exact, kernel, k_dtype,
+    return TrainPlan(engine, "gram", rule, exact, kernel, k_dtype, e_dtype,
                      cache, budget, "gram cache fits the memory budget")
 
 
@@ -262,12 +310,18 @@ class _ColumnProvider:
 
     A column is one GEMV, ``E @ E[i]``, cached while the budget lasts.
     When the plan's ``K`` fits the budget (``precomputed``), the
-    provider builds it with one GEMM (float32 when exact) and serves
-    every later column from it, as soon as the need passes the
-    break-even of ``n / _GEMM_GAIN`` distinct columns: at the first
-    column when ``forecast`` (the columns the fit is expected to ask
-    for) already does, else once that many distinct columns were
-    computed.  Both paths yield the same exact integer dots.
+    provider builds it with one GEMM and serves every later column from
+    it, as soon as the need passes the break-even of ``n / _GEMM_GAIN``
+    distinct columns: at the first column when ``forecast`` (the
+    columns the fit is expected to ask for) already does, else once
+    that many distinct columns were computed.  Both paths yield the
+    same exact integer dots.
+
+    The GEMV runs straight on a float64 ``E``, and on a float32 ``E``
+    under the plan's float32 bound (exact by Cauchy-Schwarz); any other
+    ``E`` goes through float64 over :func:`_row_blocks`, never copied
+    whole to float64.  The GEMM runs in ``plan.kernel_dtype`` the same
+    way.
     """
 
     def __init__(self, encodings: np.ndarray, plan: TrainPlan,
@@ -275,6 +329,8 @@ class _ColumnProvider:
         self._E = encodings
         n = len(encodings)
         self._f32 = plan.kernel_dtype == "float32"
+        self._native = encodings.dtype == np.float64 or (
+            self._f32 and encodings.dtype == np.float32)
         self.kernel: Optional[np.ndarray] = None
         self._cache: Dict[int, np.ndarray] = {}
         if plan.kernel == "precomputed":
@@ -299,15 +355,39 @@ class _ColumnProvider:
         if col is None:
             if (self._build_after is not None
                     and len(self._seen) >= self._build_after):
-                e = self._E.astype(np.float32) if self._f32 else self._E
-                self.kernel = e @ e.T
+                self.kernel = self._gemm()
                 self._cache.clear()
                 return self.kernel[i]
-            col = self._E @ self._E[i]
+            col = self._gemv(i)
             self._seen.add(i)
             if len(self._cache) < self._capacity:
                 self._cache[i] = col
         return col
+
+    def _gemv(self, i: int) -> np.ndarray:
+        E = self._E
+        if self._native:
+            return E @ E[i]
+        v = E[i].astype(np.float64)
+        col = np.empty(len(E))
+        for rows in _row_blocks(E):
+            col[rows] = E[rows] @ v
+        return col
+
+    def _gemm(self) -> np.ndarray:
+        E = self._E
+        if self._f32:
+            e = E.astype(np.float32, copy=False)
+            return e @ e.T
+        if self._native:
+            return E @ E.T
+        kernel = np.empty((len(E), len(E)))
+        blocks = _row_blocks(E)
+        for cols in blocks:
+            right = E[cols].T.astype(np.float64)
+            for rows in blocks:
+                kernel[rows, cols] = E[rows] @ right
+        return kernel
 
     def record(self, report: "TrainReport") -> "TrainReport":
         """Note the column policy's outcome on ``report``."""
@@ -347,22 +427,56 @@ def _gram_errors(gt: np.ndarray, safe: np.ndarray, sqrt_safe: np.ndarray,
 
 def _chunked_epoch_accuracy(clf, encodings: np.ndarray,
                             y_idx: np.ndarray) -> float:
-    """Epoch-end accuracy for the reference engine, chunked to bound the
-    transient score matrix instead of materializing all ``(n, C)`` rows
-    of intermediates in one shot."""
-    n = len(encodings)
+    """Epoch-end accuracy for the reference engines, scored over
+    :func:`_row_blocks` so neither the ``(n, C)`` score matrix nor a
+    float64 copy of ``E`` is materialized in one shot."""
     correct = 0
-    for start in range(0, n, _EPOCH_CHUNK):
-        stop = min(start + _EPOCH_CHUNK, n)
-        preds = np.argmax(clf._scores(encodings[start:stop]), axis=1)
-        correct += int(np.count_nonzero(preds == y_idx[start:stop]))
-    return correct / n
+    for rows in _row_blocks(encodings):
+        preds = np.argmax(clf._scores(encodings[rows]), axis=1)
+        correct += int(np.count_nonzero(preds == y_idx[rows]))
+    return correct / len(encodings)
 
 
 def _block_norm2(encodings: np.ndarray, n_blocks: int, block: int) -> np.ndarray:
-    """Per-sample per-block squared norms ``||h_blk||²`` (shape (n, n_blocks))."""
-    blocked = encodings.reshape(len(encodings), n_blocks, block)
-    return np.einsum("ijk,ijk->ij", blocked, blocked)
+    """Per-sample per-block squared norms ``||h_blk||²`` (shape (n, n_blocks)),
+    in float64 over :func:`_row_blocks`."""
+    out = np.empty((len(encodings), n_blocks))
+    for rows in _row_blocks(encodings):
+        blocked = encodings[rows].astype(np.float64, copy=False).reshape(
+            -1, n_blocks, block)
+        np.einsum("ijk,ijk->ij", blocked, blocked, out=out[rows])
+    return out
+
+
+def _class_dots(model: np.ndarray, encodings: np.ndarray) -> np.ndarray:
+    """The dot cache ``model @ E.T`` in float64, over :func:`_row_blocks`."""
+    # row blocks land in contiguous rows of the transpose: writing
+    # them as column strips of ``gt`` took twice as long
+    dots = np.empty((len(encodings), len(model)))
+    for rows in _row_blocks(encodings):
+        np.matmul(encodings[rows], model.T, out=dots[rows])
+    return np.ascontiguousarray(dots.T)
+
+
+def class_sums(encodings: np.ndarray, y_idx: np.ndarray,
+               n_classes: int) -> np.ndarray:
+    """Per-class sums of the encodings: the paper's model initialization.
+
+    Each class's rows are gathered at most :func:`_block_rows` at a time
+    and reduced with a float64 accumulator: exact for integer
+    encodings, and a float32 ``E`` is never copied whole.  At 2080x8192
+    this took 17 ms, against 32 ms for a one-hot GEMM per float64 row
+    block and 14 ms for one GEMM on a whole float64 ``E``.
+    """
+    model = np.zeros((n_classes, encodings.shape[1]))
+    step = _block_rows(encodings)
+    order = np.argsort(y_idx, kind="stable")
+    bounds = np.searchsorted(y_idx[order], np.arange(n_classes + 1))
+    for c in range(n_classes):
+        for start in range(bounds[c], bounds[c + 1], step):
+            rows = order[start:min(start + step, bounds[c + 1])]
+            model[c] += encodings[rows].sum(axis=0, dtype=np.float64)
+    return model
 
 
 class _EpochTracer:
@@ -475,8 +589,7 @@ def _retrain_reference_adaptive(clf, encodings: np.ndarray,
                     clf.model_[truth] += bump * h
                     clf.norms_.update_class(truth, clf.model_[truth])
         updates_per_epoch.append(updates)
-        preds = np.argmax(clf._scores(encodings), axis=1)
-        acc_per_epoch.append(float(np.mean(preds == y_idx)))
+        acc_per_epoch.append(_chunked_epoch_accuracy(clf, encodings, y_idx))
         tracer.mark(updates, acc_per_epoch[-1])
         if updates == 0 and not clf.update_on_correct:
             break
@@ -491,7 +604,7 @@ def _retrain_reference_adaptive(clf, encodings: np.ndarray,
 
 
 def _retrain_gram_paper(clf, encodings: np.ndarray, y_idx: np.ndarray,
-                        plan: TrainPlan) -> TrainReport:
+                        plan: TrainPlan, h2: np.ndarray) -> TrainReport:
     """Gram-cached replay of the paper's rule (result-identical).
 
     ``gt`` is the transposed dot cache ``(n_classes, n)`` so the two
@@ -513,8 +626,7 @@ def _retrain_gram_paper(clf, encodings: np.ndarray, y_idx: np.ndarray,
     model = clf.model_
     n = len(encodings)
     metric = clf.metric
-    gt = model @ encodings.T                      # exact integer dots
-    h2 = np.einsum("ij,ij->i", encodings, encodings)
+    gt = _class_dots(model, encodings)            # exact integer dots
     norm2 = clf.norms_.full_norm2()
     safe = np.where(norm2 <= 0.0, np.inf, norm2)
     sqrt_safe = np.sqrt(safe)
@@ -587,7 +699,7 @@ def _retrain_gram_paper(clf, encodings: np.ndarray, y_idx: np.ndarray,
 
 
 def _retrain_gram_adaptive(clf, encodings: np.ndarray, y_idx: np.ndarray,
-                           plan: TrainPlan) -> TrainReport:
+                           plan: TrainPlan, h2: np.ndarray) -> TrainReport:
     """Gram-cached adaptive rule (numerically equivalent, not bit-exact).
 
     Updates are scaled by continuous similarities, so the cached dots
@@ -597,8 +709,7 @@ def _retrain_gram_adaptive(clf, encodings: np.ndarray, y_idx: np.ndarray,
     model = clf.model_
     n = len(encodings)
     metric = clf.metric
-    gt = model @ encodings.T
-    h2 = np.einsum("ij,ij->i", encodings, encodings)
+    gt = _class_dots(model, encodings)
     hn = np.sqrt(h2)
     columns = _ColumnProvider(encodings, plan)
     norm2 = clf.norms_.full_norm2()
@@ -642,7 +753,7 @@ def _retrain_gram_adaptive(clf, encodings: np.ndarray, y_idx: np.ndarray,
                     model[truth] += bump * encodings[i]
                     sqrt_n2[truth] = np.sqrt(max(norm2[truth], 0.0))
         # refresh from the model: caps float drift at one epoch's worth
-        gt = model @ encodings.T
+        gt = _class_dots(model, encodings)
         norm2 = np.einsum("ij,ij->i", model, model)
         safe = np.where(norm2 <= 0.0, np.inf, norm2)
         sqrt_safe = np.sqrt(safe)
@@ -673,6 +784,7 @@ def retrain(clf, encodings: np.ndarray, y_idx: np.ndarray) -> TrainReport:
     """
     rule = getattr(clf, "train_rule", "paper")
     t0 = time.perf_counter()
+    h2 = np.empty(len(encodings))  # filled by the planner's scan of E
     plan = plan_retraining(
         encodings,
         n_classes=clf.model_.shape[0],
@@ -681,6 +793,7 @@ def retrain(clf, encodings: np.ndarray, y_idx: np.ndarray) -> TrainReport:
         rule=rule,
         budget_bytes=clf.config.train_memory_budget,
         assume_integral=getattr(clf, "_encodings_integral", False),
+        h2=h2,
     )
     clf.train_plan_ = plan
     n, dim = encodings.shape if encodings.ndim == 2 else (len(encodings), 0)
@@ -691,9 +804,10 @@ def retrain(clf, encodings: np.ndarray, y_idx: np.ndarray) -> TrainReport:
     ) as sp:
         if plan.engine == "gram":
             if rule == "adaptive":
-                report = _retrain_gram_adaptive(clf, encodings, y_idx, plan)
+                report = _retrain_gram_adaptive(clf, encodings, y_idx,
+                                                plan, h2)
             else:
-                report = _retrain_gram_paper(clf, encodings, y_idx, plan)
+                report = _retrain_gram_paper(clf, encodings, y_idx, plan, h2)
         elif rule == "adaptive":
             report = _retrain_reference_adaptive(clf, encodings, y_idx)
         else:

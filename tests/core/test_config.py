@@ -116,6 +116,30 @@ class TestRoundTrips:
         with pytest.raises(TypeError):
             PackedModel.from_classifier(clf, engine="packed")
 
+    def test_packed_inherits_the_classifiers_config(self, toy_problem,
+                                                    encoder):
+        """Packing keeps the classifier's encode width, directly and when
+        ShardedServer.register packs a classifier for its shards."""
+        from repro.core.shared import load_meta
+        from repro.serve.sharded import ShardedServeConfig, ShardedServer
+
+        X, y, _, _ = toy_problem
+        serial = ComputeConfig(encode_jobs=1)
+        clf = HDClassifier(encoder, epochs=2, config=serial).fit(X, y)
+        packed = PackedModel.from_classifier(clf)
+        assert packed.config == serial
+        assert packed.config is not clf.config
+
+        server = ShardedServer(ShardedServeConfig(n_shards=1, max_batch=8))
+        with server:
+            dep = server.register("m", clf)
+            assert dep.model.config == serial
+            spec = server.executor.specs["m"]
+            assert load_meta(spec.meta).config == serial  # what shards load
+            preds = server.predict_many("m", X[:8], timeout=60.0)
+            assert np.array_equal([p.label for p in preds],
+                                  packed.predict(X[:8]))
+
     def test_packed_with_words_carries_config(self, toy_problem, encoder):
         X, y, _, _ = toy_problem
         clf = HDClassifier(encoder, epochs=2).fit(X, y)

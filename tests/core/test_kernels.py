@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.kernels as kernels_mod
-from repro.core.encoders import GenericEncoder, NgramEncoder
+from repro.core.encoders import (GenericEncoder, NgramEncoder,
+                                 RandomProjectionEncoder)
 from repro.core.encoders.base import _CHUNK_BUDGET
 from repro.core.ir import EncodeSources, encode_op_counts
 from repro.core.jobs import resolve_jobs, usable_cpus
@@ -225,8 +226,20 @@ class TestDefaultFanOut:
 
     def test_lossy_dtype_rejected(self):
         enc, X = self._fitted("packed")
-        with pytest.raises(ValueError, match="int32 counts exactly"):
-            enc.encode_batch(X[:4], dtype=np.float32)
+        with pytest.raises(ValueError, match="counts exactly"):
+            enc.encode_batch(X[:4], dtype=np.int8)
+        rp = RandomProjectionEncoder(dim=256, seed=4).fit(X)
+        assert rp.max_abs_count is None
+        with pytest.raises(ValueError, match="counts exactly"):
+            rp.encode_batch(X[:4], dtype=np.float32)
+
+    @pytest.mark.parametrize("engine", ["reference", "packed"])
+    def test_float32_output_within_the_count_bound(self, engine):
+        enc, X = self._fitted(engine)
+        assert enc.max_abs_count == enc.n_windows == 14
+        out = enc.encode_batch(X, dtype=np.float32)
+        assert out.dtype == np.float32
+        assert np.array_equal(out, enc.encode_batch(X))
 
 
 class TestJobResolver:

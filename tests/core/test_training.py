@@ -8,12 +8,15 @@ and accuracies -- across metrics, shuffle settings and encoders.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import training
 from repro.core.classifier import HDClassifier
 from repro.core.config import ComputeConfig
 from repro.core.encoders import GenericEncoder
 from repro.core.encoders.registry import ENCODERS, make_encoder
+from repro.core.norms import SubNormTable
 from repro.core.online import AdaptiveHDClassifier
 from repro.core.training import (
     DEFAULT_TRAIN_BUDGET,
@@ -263,3 +266,173 @@ class TestReport:
     def test_training_module_reexported(self):
         from repro.core import TRAIN_ENGINES as exported
         assert exported is training.TRAIN_ENGINES
+
+
+# -- float32 encodings ------------------------------------------------------
+
+
+def _retrain_on(E, y_idx, n_classes, engine, metric="dot", shuffle=True,
+                epochs=4, block=4, budget=None):
+    """Initialize and retrain a classifier straight on the encodings ``E``."""
+    clf = HDClassifier(None, epochs=epochs, metric=metric, shuffle=shuffle,
+                       seed=1, norm_block=block,
+                       config=ComputeConfig(train_engine=engine,
+                                            train_memory_budget=budget))
+    clf.classes_ = np.arange(n_classes)
+    clf.model_ = training.class_sums(E, y_idx, n_classes)
+    clf.norms_ = SubNormTable(n_classes, E.shape[1], block=block)
+    clf.norms_.recompute(clf.model_)
+    clf.report_ = training.retrain(clf, E, y_idx)
+    return clf
+
+
+def _assert_same_training(a, b):
+    assert np.array_equal(a.model_, b.model_)
+    assert np.array_equal(a.norms_.table, b.norms_.table)
+    assert a.report_.updates_per_epoch == b.report_.updates_per_epoch
+
+
+def _tied_encodings(seed, n=12, dim=8, n_classes=3, big=4097):
+    """Small counts plus a ``±big`` first dimension: near-tied scores.
+
+    Class sums cancel the big dimension often, so scores tie to within
+    a few units and one rounded Gram entry changes an arg-max.  With
+    ``big > 4096`` every ``||h_i||²`` exceeds 2**24.
+    """
+    rng = np.random.default_rng(seed)
+    E = rng.integers(-3, 4, size=(n, dim)).astype(np.float64)
+    E[:, 0] = rng.choice([-1, 1], n) * big
+    return E, rng.integers(0, n_classes, n)
+
+
+class TestFloat32Encodings:
+    @pytest.mark.parametrize("name", sorted(ENCODERS))
+    def test_paper_fit_trains_on_float32_when_exact(self, name):
+        X, y = _workload(n=60, n_features=16)
+        enc = make_encoder(name, dim=256, num_levels=16, seed=2)
+        clf = HDClassifier(enc, epochs=2, seed=9).fit(X, y)
+        bounded = enc.max_abs_count is not None
+        assert bounded == (name != "rp")  # random projection: unbounded
+        assert clf.train_plan_.encodings_dtype == (
+            "float32" if bounded else "float64")
+        assert clf.train_plan_.engine == "gram"
+
+    @pytest.mark.parametrize("name", sorted(ENCODERS))
+    def test_counts_stay_within_the_bound(self, name):
+        X, _ = _workload(n=40, n_features=16)
+        enc = make_encoder(name, dim=256, num_levels=4, seed=2).fit(X)
+        if enc.max_abs_count is not None:
+            assert np.abs(enc.encode_batch(X)).max() <= enc.max_abs_count
+
+    def test_adaptive_fit_keeps_float64(self):
+        clf = _fit("gram", cls=AdaptiveHDClassifier)
+        assert clf.train_plan_.encodings_dtype == "float64"
+
+    @pytest.mark.parametrize("engine", TRAIN_ENGINES)
+    def test_fit_equals_the_float64_fit(self, engine, monkeypatch):
+        f32 = _fit(engine)
+        assert f32.train_plan_.encodings_dtype == "float32"
+        # an encoder that admits only float64 gives the parent's float64 E
+        monkeypatch.setattr(
+            GenericEncoder, "holds_counts",
+            lambda self, dtype: np.dtype(dtype) != np.float32)
+        f64 = _fit(engine)
+        assert f64.train_plan_.encodings_dtype == "float64"
+        _assert_identical(f64, f32)
+        assert f64.train_plan_.kernel_dtype == f32.train_plan_.kernel_dtype
+
+    def test_fit_peak_memory_stays_below_float64_encodings(self):
+        """n=2048, D=4096: a float64 ``E`` alone would be 64 MiB."""
+        import tracemalloc
+
+        X, y = _workload(n=2048, n_features=16, n_classes=4, noise=0.25)
+        enc = GenericEncoder(dim=4096, num_levels=16, seed=2).fit(X)
+        clf = HDClassifier(enc, epochs=2, seed=9,
+                           config=ComputeConfig(encode_jobs=1))
+        tracemalloc.start()
+        try:
+            clf.fit(X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert clf.train_plan_.encodings_dtype == "float32"
+        assert clf.report_.gram_kernel_built  # K is part of the peak
+        assert peak < 2048 * 4096 * 8
+
+
+class TestFloat32Exactness:
+    """Retraining on a float32 ``E`` equals retraining on its float64 copy."""
+
+    @pytest.mark.parametrize("engine", TRAIN_ENGINES)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(2, 20),
+           dim=st.sampled_from([4, 8, 16]), n_classes=st.integers(2, 4),
+           above=st.booleans(),
+           metric=st.sampled_from(["cosine", "dot", "hardware"]),
+           shuffle=st.booleans())
+    def test_float32_equals_float64(self, engine, seed, n, dim, n_classes,
+                                    above, metric, shuffle):
+        big = 4097 + seed % 900 if above else 1 + seed % 1400
+        E, y = _tied_encodings(seed, n, dim, n_classes, big)
+        assert (np.einsum("ij,ij->i", E, E).max() >= 2**24) == above
+        args = (y, n_classes, engine, metric, shuffle)
+        f64 = _retrain_on(E, *args)
+        f32 = _retrain_on(E.astype(np.float32), *args)
+        _assert_same_training(f64, f32)
+        if f64.train_plan_.engine == "gram":
+            assert f32.train_plan_.kernel_dtype == (
+                "float64" if above else "float32")
+
+    @pytest.mark.parametrize("budget", [None, 512])
+    def test_rounding_case_takes_the_float64_fallback(self, budget,
+                                                      monkeypatch):
+        """Float32 rounds here; without the fallback the fit diverges."""
+        E, y = _tied_encodings(seed=2)
+        E32 = E.astype(np.float32)
+        exact_h2 = np.einsum("ij,ij->i", E, E)
+        assert not np.array_equal(np.einsum("ij,ij->i", E32, E32), exact_h2)
+        assert not np.array_equal(E32 @ E32.T, E @ E.T)
+        ref = _retrain_on(E, y, 3, "reference")
+        for engine in TRAIN_ENGINES:
+            fit = _retrain_on(E32, y, 3, engine, budget=budget)
+            _assert_same_training(ref, fit)
+        gram = _retrain_on(E32, y, 3, "gram", budget=budget)
+        assert gram.train_plan_.kernel == (
+            "precomputed" if budget is None else "columns")
+        # float32 columns / K past the bound change the update sequence
+        monkeypatch.setattr(training, "_EXACT_LIMIT_F32", np.inf)
+        lossy = _retrain_on(E32, y, 3, "gram", budget=budget)
+        assert lossy.train_plan_.kernel_dtype == "float32"
+        assert lossy.report_.updates_per_epoch != ref.report_.updates_per_epoch
+
+    def test_kernel_dtype_follows_the_row_norm_bound(self):
+        # one 3000 per row: col_max² · D = 5.8e8 (the old float32 test
+        # failed) but every ||h||² = 9e6 < 2**24
+        E = np.zeros((64, 64))
+        E[np.arange(64), np.arange(64)] = 3000.0
+        plan = plan_retraining(E, 2, 3, engine="gram")
+        assert plan.kernel_dtype == "float32"
+        E[0, 1] = 3000.0  # ||h_0||² = 1.8e7 >= 2**24
+        plan = plan_retraining(E, 2, 3, engine="gram")
+        assert plan.kernel_dtype == "float64"
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 300])
+    def test_blocked_passes_match_whole_array_math(self, n, monkeypatch):
+        # 64 float64 rows of 70 per block, so n straddles block edges
+        monkeypatch.setattr(training, "_BLOCK_BYTES", 64 * 70 * 8)
+        rng = np.random.default_rng(n)
+        E = rng.integers(-90, 91, size=(n, 70)).astype(np.float64)
+        y = rng.integers(0, 3, n)
+        E32 = E.astype(np.float32)
+        h2 = np.empty(n)
+        col_l1, col_max = training._bound_stats(E32, h2=h2)
+        np.testing.assert_array_equal(col_l1, np.abs(E).sum(axis=0))
+        np.testing.assert_array_equal(col_max, np.abs(E).max(axis=0))
+        np.testing.assert_array_equal(h2, np.einsum("ij,ij->i", E, E))
+        model = training.class_sums(E32, y, 3)
+        np.testing.assert_array_equal(model, np.eye(3)[y].T @ E)
+        np.testing.assert_array_equal(training._class_dots(model, E32),
+                                      model @ E.T)
+        np.testing.assert_array_equal(
+            training._block_norm2(E32[:, :64], 4, 16),
+            np.einsum("ijk,ijk->ij", *[E[:, :64].reshape(n, 4, 16)] * 2))
