@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import training
 from repro.core.classifier import HDClassifier
 from repro.core.encoders import GenericEncoder
 from repro.datasets import load_dataset
@@ -81,6 +82,6 @@ class TestTable1Kernels:
         y_idx = np.searchsorted(clf.classes_, ds.y_train[:200])
 
         def one_epoch():
-            clf._retrain(encodings, y_idx)
+            training.retrain(clf, encodings, y_idx)
 
         benchmark(one_epoch)

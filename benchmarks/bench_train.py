@@ -8,7 +8,11 @@ runs are **result-identical** (same class-vector matrix, same sub-norm
 table, same per-epoch update counts and accuracies), and writes both
 the retrain-phase and end-to-end timings to ``BENCH_train.json``,
 with the dtype of the encodings the fit trained on and the peak traced
-memory of one extra, untimed Gram-engine fit.
+memory of one extra, untimed Gram-engine fit.  The Gram-engine fit's
+time is split by phase (``TrainReport.phase_seconds``): model init,
+planning, the dot cache, Gram columns and the retraining loop, with the
+shift ``s`` of the float32 limbs of its dot cache (``null``: float64).
+The report records the machine: cores, NumPy version and BLAS.
 
 The speedup gate applies to the retrain phase (``report_.seconds``) --
 that is the stage the Gram engine replaces; encoding is shared by both
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import resource
 import sys
@@ -76,18 +81,28 @@ def make_workload(n: int, n_features: int, n_classes: int,
 
 
 def _time_fit(engine: str, X, y, dim: int, epochs: int, repeats: int):
-    """Best-of-``repeats`` fit; returns (fit_s, retrain_s, classifier)."""
+    """Best-of-``repeats`` fit; returns (fit_s, retrain_s, classifier),
+    the classifier being the one of the fastest fit."""
     best_fit = best_retrain = float("inf")
-    clf = None
+    best = None
     for _ in range(repeats):
         encoder = GenericEncoder(dim=dim, num_levels=32, seed=1)
         clf = HDClassifier(encoder, epochs=epochs, seed=1,
                            config=ComputeConfig(train_engine=engine))
         t0 = time.perf_counter()
         clf.fit(X, y)
-        best_fit = min(best_fit, time.perf_counter() - t0)
+        fit_s = time.perf_counter() - t0
+        if fit_s < best_fit:
+            best_fit, best = fit_s, clf
         best_retrain = min(best_retrain, clf.report_.seconds)
-    return best_fit, best_retrain, clf
+    return best_fit, best_retrain, best
+
+
+def _machine() -> dict:
+    """Cores, NumPy version and the BLAS NumPy was built against."""
+    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    return {"cpus": os.cpu_count(), "numpy": np.__version__,
+            "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}"}
 
 
 def _fit_peak_mb(engine: str, X, y, dim: int, epochs: int) -> float:
@@ -147,7 +162,10 @@ def run_grid(grid, repeats: int = 3, min_speedup_scale: float = 1.0):
                                   "gram", X, y, dim, epochs), 1),
                               "cache_mb": round(plan.cache_bytes / 2**20, 2),
                               "gram_columns": report.gram_columns,
-                              "kernel_built": report.gram_kernel_built}
+                              "kernel_built": report.gram_kernel_built,
+                              "dot_shift": plan.dot_shift}
+        point["gram_phase_ms"] = {
+            k: round(v * 1e3, 3) for k, v in report.phase_seconds.items()}
         point["retrain_speedup"] = round(
             point["reference"]["retrain_seconds"]
             / point["gram"]["retrain_seconds"], 2
@@ -163,7 +181,9 @@ def run_grid(grid, repeats: int = 3, min_speedup_scale: float = 1.0):
             f"gram {point['gram']['retrain_seconds']:7.3f}s  "
             f"retrain {point['retrain_speedup']:5.2f}x  "
             f"fit {point['fit_speedup']:5.2f}x  "
-            f"identical={point['identical']}"
+            f"identical={point['identical']}  phases(ms) "
+            + " ".join(f"{k}={v:.1f}"
+                       for k, v in point["gram_phase_ms"].items())
         )
     return results
 
@@ -187,7 +207,7 @@ def main(argv=None) -> int:
         "workload": "gaussian clusters + label noise, num_levels=32, seed fixed",
         "profile": "quick" if args.quick else "full",
         "speedup_basis": "retrain phase (report_.seconds); fit() shown too",
-        "numpy": np.__version__,
+        "machine": _machine(),
         "ru_maxrss_mb": round(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
         ),

@@ -121,7 +121,7 @@ class HDClassifier:
         )
         # encoders return integer counts (Encoder._encode_chunk), which
         # lets the training planner skip its whole-array integer check
-        # (see training._paper_rule_exact)
+        # (see training.plan_retraining)
         self._encodings_integral = True
         self.classes_, y_idx = np.unique(y, return_inverse=True)
         n_classes = len(self.classes_)
@@ -131,18 +131,13 @@ class HDClassifier:
             raise ValueError(
                 f"encoder dim {dim} must be a multiple of norm_block={self.norm_block}"
             )
-        model = training.class_sums(encodings, y_idx, n_classes)
-
-        self.model_ = model
-        self.norms_ = SubNormTable(n_classes, dim, block=self.norm_block)
-        self.norms_.recompute(model)
-
-        self.report_ = self._retrain(encodings, y_idx)
+        # initialization (class sums) and retraining (Fig. 1c) under
+        # config.train_engine, in one ``train`` span
+        self.report_ = training.retrain(
+            self, encodings, y_idx, n_classes=n_classes,
+            count_bound=self.encoder.max_abs_count,
+        )
         return self
-
-    def _retrain(self, encodings: np.ndarray, y_idx: np.ndarray) -> TrainReport:
-        """Per-sample online retraining (Fig. 1c), ``config.train_engine``."""
-        return training.retrain(self, encodings, y_idx)
 
     # -- inference -----------------------------------------------------------
 

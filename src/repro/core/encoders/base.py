@@ -129,7 +129,9 @@ class Encoder(ABC):
         any dtype that :meth:`holds_counts` (``np.float64`` always,
         ``np.float32`` when :attr:`max_abs_count` is at most 2**24);
         each chunk's counts are cast as they are written, so the trainer
-        gets its matrix with no int32 staging copy.
+        gets its matrix with no int32 staging copy.  The packed GENERIC
+        kernel writes each row tile straight into the chunk's rows of
+        the output, so no chunk-sized int32 buffer is built either.
         """
         dtype = np.dtype(dtype)
         if not self.holds_counts(dtype):
@@ -207,17 +209,20 @@ class Encoder(ABC):
             "encode", encoder=self.name, engine=self._engine_label(),
             samples=len(X), dim=self.dim, jobs=jobs,
         ) as sp:
-            if jobs > 1:
-                def _run(span):
-                    start, stop = span
-                    out[start:stop] = encode_chunk(X[start:stop])
+            def _run(span):
+                start, stop = span
+                rows = out[start:stop]
+                part = encode_chunk(X[start:stop], rows)
+                if part is not rows:
+                    rows[...] = part
 
+            if jobs > 1:
                 with ThreadPoolExecutor(max_workers=jobs) as pool:
                     # list() so every future is awaited and errors propagate
                     list(pool.map(_run, spans))
             else:
-                for start, stop in spans:
-                    out[start:stop] = encode_chunk(X[start:stop])
+                for span in spans:
+                    _run(span)
             if sp.recording:
                 # logical (engine-independent) per-sample ops x batch size
                 profile = self._op_profile()
@@ -264,17 +269,22 @@ class Encoder(ABC):
         return int(self.n_features) * self.dim
 
     @abstractmethod
-    def _encode_chunk(self, X: np.ndarray) -> np.ndarray:
+    def _encode_chunk(self, X: np.ndarray,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
         """Encode a small batch to ``(N, dim)`` integer bundle counts.
 
         Subclasses implement the actual math.  The counts must be
         integers (bound bipolar sums, or a rounded projection): the
         retraining planner trusts every ``encode_batch`` output to be
-        integral, whatever its dtype, instead of scanning it.
+        integral, whatever its dtype, instead of scanning it.  ``out``
+        is the batch's rows of the caller's result: an encoder may write
+        the counts straight into it and return it, or ignore it.
         """
 
-    def _encode_signs_chunk(self, X: np.ndarray) -> np.ndarray:
-        """Packed sign words of a small batch (default: from the counts)."""
+    def _encode_signs_chunk(self, X: np.ndarray,
+                            out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Packed sign words of a small batch (default: from the counts;
+        ``out`` as in :meth:`_encode_chunk`)."""
         return sign_words(self._encode_chunk(X))
 
     def _engine_label(self) -> str:

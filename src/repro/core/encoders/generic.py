@@ -37,6 +37,8 @@ is bit-identical to exact encoding.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.core.encoders.base import DEFAULT_DIM, DEFAULT_LEVELS, Encoder, OpProfile
@@ -224,15 +226,17 @@ class GenericEncoder(Encoder):
             return EncodeSources(levels=self.levels.vectors, ids=self._ids)
         return EncodeSources(kernel=self._current_kernel())
 
-    def _encode_chunk(self, X: np.ndarray) -> np.ndarray:
+    def _encode_chunk(self, X: np.ndarray,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
         plan = self.encode_plan()
         bins = self.quantizer.transform(X)
-        return plan.execute(self._plan_sources(plan), bins)
+        return plan.execute(self._plan_sources(plan), bins, out)
 
-    def _encode_signs_chunk(self, X: np.ndarray) -> np.ndarray:
+    def _encode_signs_chunk(self, X: np.ndarray,
+                            out: Optional[np.ndarray] = None) -> np.ndarray:
         plan = self.encode_plan()
         bins = self.quantizer.transform(X)
-        return plan.execute_signs(self._plan_sources(plan), bins)
+        return plan.execute_signs(self._plan_sources(plan), bins, out)
 
     # -- cost reporting ---------------------------------------------------
 

@@ -13,6 +13,8 @@ in the paper's Table 1 (90.0% mean).
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.core.encoders.base import DEFAULT_DIM, DEFAULT_LEVELS, Encoder, OpProfile
@@ -42,7 +44,8 @@ class LevelIdEncoder(Encoder):
         self._check_fitted()
         return int(self.n_features)
 
-    def _encode_chunk(self, X: np.ndarray) -> np.ndarray:
+    def _encode_chunk(self, X: np.ndarray,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
         bins = self.quantizer.transform(X)
         lv = self.levels[bins]  # (B, d, dim) int8
         bound = lv * self.ids.all()[None, :, :]

@@ -12,6 +12,8 @@ fails when the discriminative structure is order-free, e.g. LANG).
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.core.encoders.base import Encoder, OpProfile
@@ -28,7 +30,8 @@ class PermutationEncoder(Encoder):
         self._check_fitted()
         return int(self.n_features)
 
-    def _encode_chunk(self, X: np.ndarray) -> np.ndarray:
+    def _encode_chunk(self, X: np.ndarray,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
         bins = self.quantizer.transform(X)
         d = self.n_features
         acc = np.zeros((len(X), self.dim), dtype=np.int32)

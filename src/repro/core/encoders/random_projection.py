@@ -14,6 +14,8 @@ structure that only shows in the *arrangement* of values (46.8% on EEG,
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.core.encoders.base import DEFAULT_DIM, DEFAULT_LEVELS, Encoder, OpProfile
@@ -41,7 +43,8 @@ class RandomProjectionEncoder(Encoder):
     def _allocate(self, X: np.ndarray) -> None:
         self.ids = IdTable(self.rng, self.n_features, self.dim)
 
-    def _encode_chunk(self, X: np.ndarray) -> np.ndarray:
+    def _encode_chunk(self, X: np.ndarray,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
         # Normalize values into level indices so magnitudes are bounded the
         # same way as the other fixed-point encoders.
         if self.quantize:

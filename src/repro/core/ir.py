@@ -260,8 +260,14 @@ class KernelPlan:
 
     # -- execution -----------------------------------------------------------
 
-    def execute(self, sources: EncodeSources, bins: np.ndarray) -> np.ndarray:
-        """Encode quantized bins ``(N, n_features)`` to int32 counts."""
+    def execute(self, sources: EncodeSources, bins: np.ndarray,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Encode quantized bins ``(N, n_features)`` to int32 counts.
+
+        The packed backend writes them straight into ``out`` when given
+        and returns it (see :meth:`GenericPackedKernel.encode_bins
+        <repro.core.kernels.GenericPackedKernel.encode_bins>`).
+        """
         if self.backend_name == REFERENCE:
             if sources.levels is None:
                 raise ValueError(f"{REFERENCE} needs the bipolar level table")
@@ -270,10 +276,10 @@ class KernelPlan:
                 self.window_sel, self.tile_rows,
             )
         return self._kernel(sources).encode_bins(
-            bins, self.window_sel, self.tile_rows, self.fuse_pairs)
+            bins, self.window_sel, self.tile_rows, self.fuse_pairs, out)
 
-    def execute_signs(self, sources: EncodeSources,
-                      bins: np.ndarray) -> np.ndarray:
+    def execute_signs(self, sources: EncodeSources, bins: np.ndarray,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
         """The same encodings as packed sign words ``(N, words)``.
 
         Bit set where the count is negative (a zero count is +1, bit
@@ -283,7 +289,7 @@ class KernelPlan:
         if self.backend_name == REFERENCE:
             return sign_words(self.execute(sources, bins))
         return self._kernel(sources).encode_sign_bins(
-            bins, self.window_sel, self.tile_rows, self.fuse_pairs)
+            bins, self.window_sel, self.tile_rows, self.fuse_pairs, out)
 
     @staticmethod
     def _kernel(sources: EncodeSources):

@@ -468,20 +468,22 @@ class GenericPackedKernel:
                 part ^= ids[r0:r1]
         return fold
 
-    def _read_tiles(self, bins, window_sel, tile_rows, fuse_pairs, readout):
+    def _read_tiles(self, bins, window_sel, tile_rows, fuse_pairs, readout,
+                    out=None):
         """``readout(planes, k)`` of every row tile, stacked by rows.
 
         Each tile of ``tile_rows`` rows (all rows when None) folds all
         ``k`` windows into one slab that :func:`reduce_planes` reduces
         in place.  The planes are views into that slab, so a tile is
         read out before the next one folds; keeping them would keep
-        every tile's slab alive.
+        every tile's slab alive.  Each tile is written into ``out`` when
+        given (cast to its dtype), so a caller's result rows need no
+        staging copy; else into a new array of the read-out's dtype.
         """
         bins = np.asarray(bins)
         n_win = self._validate_bins(bins)
         idx = _window_indices(window_sel, n_win)
         k = n_win if isinstance(idx, slice) else len(idx)
-        out = None
         for rows in _row_tiles(len(bins), tile_rows or max(1, len(bins))):
             # window-major layout: bundling reduces over the leading
             # axis and every gather/XOR runs on contiguous (rows, W) slabs;
@@ -497,9 +499,9 @@ class GenericPackedKernel:
             fold = self.xor_fold(bins_t, idx, fuse_pairs)
             part = readout(reduce_planes(fold), k)
             del fold  # free the slab before the next tile's gather
-            if rows.stop - rows.start == len(bins):
-                return part
             if out is None:
+                if rows.stop - rows.start == len(bins):
+                    return part
                 out = np.empty((len(bins),) + part.shape[1:], part.dtype)
             out[rows] = part
         return out
@@ -507,29 +509,33 @@ class GenericPackedKernel:
     def encode_bins(self, bins: np.ndarray,
                     window_sel: Optional[np.ndarray] = None,
                     tile_rows: Optional[int] = None,
-                    fuse_pairs: bool = False) -> np.ndarray:
+                    fuse_pairs: bool = False,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
         """Encode quantized inputs ``(N, n_features)`` to int32 counts.
 
         Returns the same ``(N, dim)`` int32 matrix as the reference
         encoder: per-dimension sums of the bound window hypervectors
-        (of the ``window_sel`` windows only, when given).
+        (of the ``window_sel`` windows only, when given).  With ``out``
+        (``(N, dim)``, any dtype that holds the counts) the counts are
+        written there, tile by tile, and ``out`` is returned.
         """
         dim = self.dim
 
         def counts(planes, k):
             # bipolar read-out: each of the k bundled windows contributed
             # +1 (bit clear) or -1 (bit set) per dimension
-            out = plane_counts(planes)[:, :dim] * -2
-            out += k
-            return out
+            tile = plane_counts(planes)[:, :dim] * -2
+            tile += k
+            return tile
 
         return self._read_tiles(bins, window_sel, tile_rows, fuse_pairs,
-                                counts)
+                                counts, out)
 
     def encode_sign_bins(self, bins: np.ndarray,
                          window_sel: Optional[np.ndarray] = None,
                          tile_rows: Optional[int] = None,
-                         fuse_pairs: bool = False) -> np.ndarray:
+                         fuse_pairs: bool = False,
+                         out: Optional[np.ndarray] = None) -> np.ndarray:
         """The encodings' sign words ``(N, words)`` straight from the planes.
 
         The count ``k - 2 * ones`` is negative (bit 1) exactly when
@@ -546,7 +552,7 @@ class GenericPackedKernel:
             return words
 
         return self._read_tiles(bins, window_sel, tile_rows, fuse_pairs,
-                                signs)
+                                signs, out)
 
 
 # -- packed-table memoization -------------------------------------------------

@@ -48,16 +48,35 @@ encodings ``E`` in float32 when the encoder's count bound
 (:attr:`~repro.core.encoders.base.Encoder.max_abs_count`) is at most
 2**24, so every count is held exactly at half of float64's memory.
 Float32 *arithmetic* is exact on integers whose every intermediate
-stays below 2**24.  For a Gram entry ``E[j]·E[i]`` Cauchy-Schwarz
-bounds every product and every partial sum, over any subset of the
-dimensions, by ``max_i ||h_i||²``; so when the planner's exact float64
-``||h_i||²`` all stay below 2**24, the float32 GEMV of a column and the
-float32 GEMM of ``K`` are exact in whatever order BLAS sums.  Otherwise
-columns and ``K`` run in float64.  Products that mix float64 operands
-with ``E`` -- the dot cache ``model @ E.T``, the class sums, epoch
-scores, block norms -- accumulate in float64 over row blocks of at most
-4 MiB (:func:`_row_blocks`), so no float64 copy of the whole ``E`` is
-ever made.
+stays below 2**24, and each float32 pass of a fit runs only under a
+cheap bound that proves this; when the bound fails, the pass runs in
+float64 over row blocks of at most 4 MiB (:func:`_row_blocks`), so no
+float64 copy of the whole ``E`` is ever made.
+
+- *Row norms.*  One float32 pass gives ``h2 = ||h_i||²``.  Its
+  terms are non-negative and rounding is monotone, so a partial sum
+  whose true value reaches 2**24 rounds to at least 2**24, and so does
+  every sum above it: when the largest computed ``h2`` is below 2**24,
+  every ``h2`` is exact, in any summation order.  The planner then
+  bounds every class norm by ``B = max_c ||M0_c|| + epochs·Σ ||h_i||``
+  (``M0`` the starting model, which must be integer) and every dot and
+  squared norm by ``B²``, against 2**52.  Only when that fails, or
+  ``E`` is not float32, does it run the blocked float64 column bound
+  (:func:`_bound_stats`).
+- *Gram columns and K.*  Cauchy-Schwarz bounds every product and every
+  partial sum of ``E[j]·E[i]``, over any subset of the dimensions, by
+  ``max ||h_i||²``; below 2**24 the float32 GEMV of a column and the
+  float32 GEMM of ``K`` are exact in whatever order BLAS sums.
+- *Dot cache.*  The integer model splits as ``M = hi·2**s + lo`` with
+  ``0 <= lo < 2**s``, ``s`` the largest shift with
+  ``2**s·sqrt(D)·max ||h|| < 2**24``, so ``||lo_c||·||h||`` stays below
+  2**24 without being computed.  When ``max_c ||hi_c||·max ||h||`` is
+  below 2**24 too, ``E @ [hi; lo].T`` is one exact float32 GEMM, whose
+  two halves combine in float64 (:func:`_limb_shift`).
+- *Class sums.*  Every partial sum of a class's rows is bounded by
+  ``n_c · max_abs_count``; when the largest class times the encoder's
+  count bound is below 2**24 -- known before any row is read -- the
+  rows are summed in float32 (:func:`class_sums`).
 
 The adaptive (OnlineHD-style) rule of
 :class:`~repro.core.online.AdaptiveHDClassifier` scales updates by
@@ -71,11 +90,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.core.norms import SubNormTable
 from repro.core.sims import METRICS
 from repro.obs import trace as obs_trace
 
@@ -93,7 +113,7 @@ _EXACT_LIMIT = 2.0**52
 #: columns and ``K`` run in float32 while every ``||h_i||²`` stays below
 _EXACT_LIMIT_F32 = 2.0**24
 
-_EPOCH_CHUNK = 16384  # dot-cache columns per _gram_errors chunk
+_EPOCH_CHUNK = 16384  # dot-cache columns per _gram_misses chunk
 
 #: one ``K = E·Eᵀ`` GEMM costs as much as ``n / _GEMM_GAIN`` single-
 #: column GEMVs: the break-even in distinct columns past which
@@ -109,6 +129,12 @@ _GEMM_GAIN = 16
 #: 32-256-row blocks of :func:`_bound_stats` all took ~0.04 s, where one
 #: whole ``np.abs`` copy took 0.11 s and 136 MB.
 _BLOCK_BYTES = 4 * 2**20
+
+#: rows per block of the float32 GEMMs over ``E`` (dot-cache limbs,
+#: forecast columns).  At 2080x8192 one whole-``E`` GEMM took 15 ms but
+#: left ~4 MB more resident (BLAS packing buffers) than 256-row blocks,
+#: which took 18 ms; 64-row blocks took 28 ms.
+_GEMM_ROWS = 256
 
 #: samples per vectorized scan block in the gram engine.  The scan
 #: scores a whole block from the cache and jumps to the first
@@ -126,13 +152,18 @@ class TrainReport:
     epochs_run: int
     updates_per_epoch: list
     train_accuracy_per_epoch: list
-    #: wall-clock seconds spent inside the retraining engine (set by
+    #: wall-clock seconds of planning plus the retraining engine (set by
     #: :func:`retrain`; excludes encoding and model initialization)
     seconds: Optional[float] = None
-    #: gram engine only: distinct Gram columns computed one GEMV at a
-    #: time, and whether the whole ``K`` was built with the GEMM
+    #: gram engine only: distinct Gram columns used before ``K`` was
+    #: built, and whether the whole ``K`` was built with the GEMM
     gram_columns: Optional[int] = None
     gram_kernel_built: Optional[bool] = None
+    #: wall-clock seconds per phase: ``init`` (class sums and sub-norm
+    #: table, when :func:`retrain` initialized the model), ``plan``,
+    #: ``dots`` (the gram dot cache), ``columns`` (Gram columns and
+    #: ``K``) and ``loop`` (the rest of the engine)
+    phase_seconds: Dict[str, float] = field(default_factory=dict)
 
     @property
     def final_train_accuracy(self) -> float:
@@ -156,11 +187,17 @@ class TrainPlan:
     cache_bytes: int        # planned gram-cache footprint
     budget_bytes: int
     reason: str             # why this engine was picked
+    dot_shift: Optional[int] = None  # s of the float32 limbs hi·2**s + lo
+                                     # of the dot cache; None: float64
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
+        dots = "float64" if self.dot_shift is None else f"limbs(s={self.dot_shift})"
         return (
             f"TrainPlan({self.requested!r} -> {self.engine!r}, rule={self.rule}, "
-            f"exact={self.exact}, kernel={self.kernel}, {self.reason})"
+            f"exact={self.exact}, kernel={self.kernel}, "
+            f"kernel_dtype={self.kernel_dtype}, "
+            f"encodings_dtype={self.encodings_dtype}, dots={dots}, "
+            f"{self.reason})"
         )
 
 
@@ -172,9 +209,11 @@ def _block_rows(encodings: np.ndarray) -> int:
     return max(1, _BLOCK_BYTES // (8 * max(1, encodings.shape[1])))
 
 
-def _row_blocks(encodings: np.ndarray) -> List[slice]:
-    """Row slices of ``encodings`` of :func:`_block_rows` rows each."""
-    n, rows = len(encodings), _block_rows(encodings)
+def _row_blocks(encodings: np.ndarray,
+                rows: Optional[int] = None) -> List[slice]:
+    """Row slices of ``encodings`` of ``rows`` (default
+    :func:`_block_rows`) rows each."""
+    n, rows = len(encodings), rows or _block_rows(encodings)
     return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
@@ -203,32 +242,82 @@ def _bound_stats(encodings: np.ndarray, h2: Optional[np.ndarray] = None):
     return col_l1, col_max
 
 
-def _paper_rule_exact(
-    encodings: np.ndarray,
-    epochs: int,
-    assume_integral: bool = False,
-    stats=None,
-) -> bool:
-    """True when the gram replay of the ±h rule is provably bit-exact.
+def _is_integral(values: np.ndarray) -> bool:
+    return bool(np.array_equal(values, np.trunc(values)))
 
-    Requires integer-valued encodings whose worst-case dot products and
-    squared norms stay below 2**52.  The growth bound is conservative:
-    it assumes every sample is moved into the same class every epoch.
-    ``assume_integral`` skips the whole-array integer scan when the
-    caller has already seen an integer source dtype; ``stats`` accepts a
-    precomputed ``(col_l1, col_max)`` pair from :func:`_bound_stats`.
+
+def _exact_h2_f32(encodings: np.ndarray, out: np.ndarray) -> bool:
+    """Fill ``out`` with ``||h_i||²`` from one float32 pass, if exact.
+
+    True when ``encodings`` is float32 and the largest computed square
+    norm is below 2**24: for integer rows that proves every one exact
+    (non-negative terms, monotone rounding; see the module docstring).
     """
-    if encodings.size == 0:
-        return True
-    if not assume_integral and not np.array_equal(
-        encodings, np.trunc(encodings)
-    ):
+    if encodings.dtype != np.float32:
         return False
-    col_l1, col_max = _bound_stats(encodings) if stats is None else stats
-    growth = (1.0 + float(epochs)) * col_l1   # worst-case model magnitude
-    dot_bound = float(col_max @ growth)
-    norm_bound = float(growth @ growth)
-    return max(dot_bound, norm_bound) < _EXACT_LIMIT
+    # np.vecdot (NumPy >= 2) took half the time of the einsum at 2080x8192
+    vecdot = getattr(np, "vecdot", None)
+    h2 = (vecdot(encodings, encodings) if vecdot is not None
+          else np.einsum("ij,ij->i", encodings, encodings))
+    if not float(h2.max()) < _EXACT_LIMIT_F32:
+        return False
+    out[:] = h2
+    return True
+
+
+def _norm_bound_holds(h2: np.ndarray, epochs: int,
+                      model: Optional[np.ndarray]) -> bool:
+    """The row-norm growth bound of the ±h rule, against 2**52.
+
+    Each epoch moves each sample at most once, so no class norm exceeds
+    ``B = max_c ||M0_c|| + epochs·Σ ||h_i||``; every dot is then at most
+    ``B·max ||h_i|| <= B²`` and every squared norm (and the
+    ``||C||² ± 2·(C·h) + ||h||²`` steps between two of them) at most
+    ``B²``.  Without ``model`` the start is the class sums, whose norms
+    are at most ``Σ ||h_i||``.  The float64 rounding of ``B`` itself is
+    far inside the bit of slack that :data:`_EXACT_LIMIT` keeps.
+    """
+    h_sum = float(np.sqrt(h2).sum())
+    start = h_sum if model is None else math.sqrt(
+        float(np.einsum("ij,ij->i", model, model).max()))
+    bound = start + float(epochs) * h_sum
+    return bound * bound < _EXACT_LIMIT
+
+
+def _column_bound_holds(stats, epochs: int,
+                        model: Optional[np.ndarray]) -> bool:
+    """The per-dimension growth bound: the fallback of the norm bound.
+
+    ``|M_c[d]|`` stays within ``max_c |M0_c[d]| + epochs·col_l1[d]``
+    (``(1+epochs)·col_l1[d]`` from the class sums), which bounds every
+    dot by ``col_max·growth`` and every squared norm by ``growth²``.
+    """
+    col_l1, col_max = stats
+    start = col_l1 if model is None else np.abs(model).max(axis=0)
+    growth = start + float(epochs) * col_l1
+    return max(float(col_max @ growth), float(growth @ growth)) < _EXACT_LIMIT
+
+
+def _limb_shift(model: np.ndarray, h2_max: float) -> Optional[int]:
+    """Shift ``s`` of the float32 limbs of an integer model, or None.
+
+    ``M = hi·2**s + lo`` with ``0 <= lo < 2**s``.  ``s`` is the largest
+    shift with ``2**s·sqrt(D)·max ||h|| < 2**24``, so ``E @ lo.T`` is
+    exact in float32 by construction; None when ``E @ hi.T`` is not,
+    i.e. ``max_c ||hi_c||·max ||h|| >= 2**24``.  Both tests compare
+    squares: sums of non-negative terms round monotonically, so a
+    computed value below the limit proves the true one is.
+    """
+    limit2 = _EXACT_LIMIT_F32 * _EXACT_LIMIT_F32
+    h2_max = max(float(h2_max), 1.0)  # hi must be float32-representable
+    dim = model.shape[1]
+    shift = 0
+    while shift < 24 and 4.0 ** (shift + 1) * dim * h2_max < limit2:
+        shift += 1
+    hi = np.floor_divide(model, 2.0 ** shift)
+    if not float(np.einsum("ij,ij->i", hi, hi).max()) * h2_max < limit2:
+        return None
+    return shift
 
 
 def plan_retraining(
@@ -240,12 +329,17 @@ def plan_retraining(
     budget_bytes: Optional[int] = None,
     assume_integral: bool = False,
     h2: Optional[np.ndarray] = None,
+    model: Optional[np.ndarray] = None,
 ) -> TrainPlan:
     """Pick the retraining engine and Gram-cache layout for one fit.
 
-    A length-n float64 ``h2`` is filled with the squared norms
-    ``||h_i||²`` whenever the planner scans ``encodings`` (every gram
-    plan does), so the engine reuses them instead of a second pass.
+    ``model`` is the starting model ``M0`` (None: the class sums of
+    ``encodings``); gram replay is proven exact only for an integer one.
+    ``assume_integral`` skips the whole-array integer scan of
+    ``encodings`` when the caller has already seen integer counts.  A
+    length-n float64 ``h2`` is filled with the squared norms
+    ``||h_i||²`` (every gram plan computes them), so the engine reuses
+    them instead of a second pass.
     """
     if engine not in TRAIN_ENGINES:
         raise ValueError(
@@ -266,10 +360,15 @@ def plan_retraining(
         return reference("nothing to retrain")
 
     h2 = np.empty(n) if h2 is None else h2
-    stats = _bound_stats(encodings, h2=h2)
-    exact = rule == "paper" and _paper_rule_exact(
-        encodings, epochs, assume_integral=assume_integral, stats=stats
-    )
+    integral = assume_integral or _is_integral(encodings)
+    stats = None
+    if not (integral and _exact_h2_f32(encodings, h2)):
+        stats = _bound_stats(encodings, h2=h2)
+    exact = (rule == "paper" and integral
+             and (model is None or _is_integral(model)))
+    if exact and not _norm_bound_holds(h2, epochs, model):
+        stats = _bound_stats(encodings) if stats is None else stats
+        exact = _column_bound_holds(stats, epochs, model)
     if engine == "auto":
         if rule != "paper":
             return reference(
@@ -278,8 +377,8 @@ def plan_retraining(
             )
         if not exact:
             return reference(
-                "encodings fail the integer-exactness bound for gram replay",
-                exact=False,
+                "encodings or starting model fail the integer-exactness "
+                "bound for gram replay", exact=False,
             )
 
     # gram-cache layout: G (n_classes, n) + h2 (n) always; K when it fits
@@ -291,15 +390,20 @@ def plan_retraining(
     # Cauchy-Schwarz bounds every product and every partial sum of
     # E[j]·E[i] by max ||h||², so below 2**24 float32 BLAS is exact in
     # any summation order
-    kernel_f32 = float(h2.max()) < _EXACT_LIMIT_F32
+    h2_max = float(h2.max())
+    kernel_f32 = h2_max < _EXACT_LIMIT_F32
     k_dtype = "float32" if kernel_f32 else "float64"
     k_bytes = n * n * (4 if kernel_f32 else 8)
     if g_bytes + k_bytes <= budget:
         kernel, cache = "precomputed", g_bytes + k_bytes
     else:
         kernel, cache = "columns", g_bytes  # on-demand columns, budget-gated
+    shift = None
+    if exact and model is not None and kernel_f32 and e_dtype == "float32":
+        shift = _limb_shift(model, h2_max)
     return TrainPlan(engine, "gram", rule, exact, kernel, k_dtype, e_dtype,
-                     cache, budget, "gram cache fits the memory budget")
+                     cache, budget, "gram cache fits the memory budget",
+                     dot_shift=shift)
 
 
 # -- shared helpers ---------------------------------------------------------
@@ -308,24 +412,27 @@ def plan_retraining(
 class _ColumnProvider:
     """Columns of the Gram matrix ``K = E @ E.T``, computed by use.
 
-    A column is one GEMV, ``E @ E[i]``, cached while the budget lasts.
-    When the plan's ``K`` fits the budget (``precomputed``), the
-    provider builds it with one GEMM and serves every later column from
-    it, as soon as the need passes the break-even of ``n / _GEMM_GAIN``
-    distinct columns: at the first column when ``forecast`` (the
-    columns the fit is expected to ask for) already does, else once
-    that many distinct columns were computed.  Both paths yield the
-    same exact integer dots.
+    ``forecast`` holds the columns the fit is expected to ask for (the
+    initial model's mispredictions).  When the plan's ``K`` fits the
+    budget (``precomputed``) and the forecast passes the break-even of
+    ``n / _GEMM_GAIN`` distinct columns, the first column builds ``K``
+    with one GEMM and every later column reads from it.  Otherwise the
+    forecast columns are fetched together in one GEMM, as far as the
+    cache holds them, and any other column on its own, ``E @ E[i]``,
+    cached while the budget lasts; a ``precomputed`` plan still builds
+    ``K`` once the fit has used break-even many distinct columns.
+    Every path yields the same exact integer dots.
 
-    The GEMV runs straight on a float64 ``E``, and on a float32 ``E``
-    under the plan's float32 bound (exact by Cauchy-Schwarz); any other
-    ``E`` goes through float64 over :func:`_row_blocks`, never copied
-    whole to float64.  The GEMM runs in ``plan.kernel_dtype`` the same
-    way.
+    Columns run in blocks of :data:`_GEMM_ROWS` rows straight on a
+    float64 ``E``, and on a float32 ``E`` under the plan's float32
+    bound (exact by Cauchy-Schwarz); any other ``E`` goes through
+    float64 over :func:`_row_blocks`, never copied whole to float64.
+    The GEMM of ``K`` runs in ``plan.kernel_dtype`` the same way.
+    ``seconds`` accumulates the time spent computing columns and ``K``.
     """
 
     def __init__(self, encodings: np.ndarray, plan: TrainPlan,
-                 forecast: int = 0):
+                 forecast: np.ndarray = ()):
         self._E = encodings
         n = len(encodings)
         self._f32 = plan.kernel_dtype == "float32"
@@ -333,46 +440,58 @@ class _ColumnProvider:
             self._f32 and encodings.dtype == np.float32)
         self.kernel: Optional[np.ndarray] = None
         self._cache: Dict[int, np.ndarray] = {}
+        self.seconds = 0.0
+        forecast = np.asarray(forecast, dtype=np.intp)
         if plan.kernel == "precomputed":
             break_even = n // _GEMM_GAIN
-            self._build_after = 0 if forecast > break_even else break_even
+            self._build_after = 0 if len(forecast) > break_even else break_even
             self._capacity = self._build_after
         else:
             self._build_after = None
             spare = plan.budget_bytes - plan.cache_bytes
             self._capacity = max(0, spare // (n * 8)) if n else 0
         self._seen: set = set()
+        if self._build_after != 0 and self._capacity and len(forecast):
+            t0 = time.perf_counter()
+            take = forecast[:self._capacity]
+            self._cache.update(zip(take.tolist(), self._rows(take)))
+            self.seconds += time.perf_counter() - t0
 
     @property
     def computed(self) -> int:
-        """Distinct columns computed one GEMV at a time."""
+        """Distinct columns used before ``K`` was built."""
         return len(self._seen)
 
     def column(self, i: int) -> np.ndarray:
         if self.kernel is not None:
             return self.kernel[i]
         col = self._cache.get(i)
+        if col is not None and i in self._seen:
+            return col
+        t0 = time.perf_counter()
+        if (self._build_after is not None
+                and len(self._seen) >= self._build_after):
+            self.kernel = self._gemm()
+            self._cache.clear()
+            self.seconds += time.perf_counter() - t0
+            return self.kernel[i]
         if col is None:
-            if (self._build_after is not None
-                    and len(self._seen) >= self._build_after):
-                self.kernel = self._gemm()
-                self._cache.clear()
-                return self.kernel[i]
-            col = self._gemv(i)
-            self._seen.add(i)
+            col = self._rows(np.array([i]))[0]
             if len(self._cache) < self._capacity:
                 self._cache[i] = col
+        self._seen.add(i)
+        self.seconds += time.perf_counter() - t0
         return col
 
-    def _gemv(self, i: int) -> np.ndarray:
+    def _rows(self, idx: np.ndarray) -> np.ndarray:
+        """Rows ``idx`` of ``K`` (its columns, by symmetry): one GEMM
+        per row block of ``E``."""
         E = self._E
-        if self._native:
-            return E @ E[i]
-        v = E[i].astype(np.float64)
-        col = np.empty(len(E))
-        for rows in _row_blocks(E):
-            col[rows] = E[rows] @ v
-        return col
+        right = E[idx] if self._native else E[idx].astype(np.float64)
+        out = np.empty((len(E), len(idx)), dtype=right.dtype)
+        for rows in _row_blocks(E, _GEMM_ROWS if self._native else None):
+            np.matmul(E[rows], right.T, out=out[rows])
+        return np.ascontiguousarray(out.T)
 
     def _gemm(self) -> np.ndarray:
         E = self._E
@@ -412,17 +531,17 @@ def _gram_scores_block(block: np.ndarray, safe: np.ndarray,
     raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
 
 
-def _gram_errors(gt: np.ndarray, safe: np.ndarray, sqrt_safe: np.ndarray,
-                 metric: str, y_idx: np.ndarray) -> int:
-    """Chunked count of mispredicted samples straight from the dot cache."""
+def _gram_misses(gt: np.ndarray, safe: np.ndarray, sqrt_safe: np.ndarray,
+                 metric: str, y_idx: np.ndarray) -> np.ndarray:
+    """Indices of the samples mispredicted by the dot cache, chunked."""
     n = gt.shape[1]
-    wrong = 0
+    misses = []
     for start in range(0, n, _EPOCH_CHUNK):
         stop = min(start + _EPOCH_CHUNK, n)
         scores = _gram_scores_block(gt[:, start:stop], safe, sqrt_safe, metric)
         preds = np.argmax(scores, axis=0)
-        wrong += int(np.count_nonzero(preds != y_idx[start:stop]))
-    return wrong
+        misses.append(start + np.flatnonzero(preds != y_idx[start:stop]))
+    return np.concatenate(misses) if misses else np.empty(0, dtype=np.intp)
 
 
 def _chunked_epoch_accuracy(clf, encodings: np.ndarray,
@@ -448,8 +567,28 @@ def _block_norm2(encodings: np.ndarray, n_blocks: int, block: int) -> np.ndarray
     return out
 
 
-def _class_dots(model: np.ndarray, encodings: np.ndarray) -> np.ndarray:
-    """The dot cache ``model @ E.T`` in float64, over :func:`_row_blocks`."""
+def _class_dots(model: np.ndarray, encodings: np.ndarray,
+                shift: Optional[int] = None) -> np.ndarray:
+    """The dot cache ``model @ E.T`` as float64 ``(n_classes, n)``.
+
+    With a plan's ``dot_shift`` (a float32 ``E`` and an integer model
+    whose limbs pass :func:`_limb_shift`), one exact float32 GEMM on the
+    stacked limbs ``[hi; lo]``, combined in float64; otherwise float64
+    over :func:`_row_blocks`.
+    """
+    if shift is not None:
+        c = len(model)
+        scale = 2.0 ** shift
+        limbs = np.empty((2 * c, model.shape[1]), dtype=np.float32)
+        # floor quotient and non-negative remainder; the guard keeps
+        # both within float32's exact integers
+        np.divmod(model, scale, out=(limbs[:c], limbs[c:]))
+        both = np.empty((len(encodings), 2 * c), dtype=np.float32)
+        for rows in _row_blocks(encodings, _GEMM_ROWS):
+            np.matmul(encodings[rows], limbs.T, out=both[rows])
+        dots = np.multiply(both[:, :c].T, scale, dtype=np.float64, order="C")
+        dots += both[:, c:].T
+        return dots
     # row blocks land in contiguous rows of the transpose: writing
     # them as column strips of ``gt`` took twice as long
     dots = np.empty((len(encodings), len(model)))
@@ -458,24 +597,31 @@ def _class_dots(model: np.ndarray, encodings: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(dots.T)
 
 
-def class_sums(encodings: np.ndarray, y_idx: np.ndarray,
-               n_classes: int) -> np.ndarray:
+def class_sums(encodings: np.ndarray, y_idx: np.ndarray, n_classes: int,
+               count_bound: Optional[int] = None) -> np.ndarray:
     """Per-class sums of the encodings: the paper's model initialization.
 
     Each class's rows are gathered at most :func:`_block_rows` at a time
-    and reduced with a float64 accumulator: exact for integer
-    encodings, and a float32 ``E`` is never copied whole.  At 2080x8192
-    this took 17 ms, against 32 ms for a one-hot GEMM per float64 row
-    block and 14 ms for one GEMM on a whole float64 ``E``.
+    and reduced, so a float32 ``E`` is never copied whole.  The blocks
+    sum in float32 when ``E`` is float32 and the largest class times
+    ``count_bound`` (a bound on every ``|E[i, d]|``, e.g. the encoder's
+    ``max_abs_count``) is below 2**24, which bounds every partial sum;
+    otherwise in float64.  Both are exact for integer encodings.  At
+    2080x8192 the float32 sums took 10-15 ms, the float64 ones 18-23 ms.
     """
     model = np.zeros((n_classes, encodings.shape[1]))
+    counts = np.bincount(y_idx, minlength=n_classes)
+    f32 = (encodings.dtype == np.float32 and count_bound is not None
+           and len(counts) > 0
+           and float(counts.max()) * count_bound < _EXACT_LIMIT_F32)
+    acc = np.float32 if f32 else np.float64
     step = _block_rows(encodings)
     order = np.argsort(y_idx, kind="stable")
-    bounds = np.searchsorted(y_idx[order], np.arange(n_classes + 1))
+    bounds = np.concatenate([[0], np.cumsum(counts)])
     for c in range(n_classes):
         for start in range(bounds[c], bounds[c + 1], step):
             rows = order[start:min(start + step, bounds[c + 1])]
-            model[c] += encodings[rows].sum(axis=0, dtype=np.float64)
+            model[c] += encodings[rows].sum(axis=0, dtype=acc)
     return model
 
 
@@ -623,18 +769,20 @@ def _retrain_gram_paper(clf, encodings: np.ndarray, y_idx: np.ndarray,
     from the final model -- exactly what the reference engine's
     per-update maintenance converges to.
     """
+    t0 = time.perf_counter()
     model = clf.model_
     n = len(encodings)
     metric = clf.metric
-    gt = _class_dots(model, encodings)            # exact integer dots
+    gt = _class_dots(model, encodings, plan.dot_shift)  # exact integer dots
+    dots_s = time.perf_counter() - t0
     norm2 = clf.norms_.full_norm2()
     safe = np.where(norm2 <= 0.0, np.inf, norm2)
     sqrt_safe = np.sqrt(safe)
     # each of the initial model's mispredictions is (to within a few) a
-    # first-epoch update, and each update asks for one column
+    # first-epoch update, and each update asks for its column
     columns = _ColumnProvider(
         encodings, plan,
-        forecast=_gram_errors(gt, safe, sqrt_safe, metric, y_idx),
+        forecast=_gram_misses(gt, safe, sqrt_safe, metric, y_idx),
     )
 
     updates_per_epoch: List[int] = []
@@ -685,16 +833,19 @@ def _retrain_gram_paper(clf, encodings: np.ndarray, y_idx: np.ndarray,
                 updates += 1
         updates_per_epoch.append(updates)
         acc_per_epoch.append(
-            (n - _gram_errors(gt, safe, sqrt_safe, metric, y_idx)) / n
+            (n - len(_gram_misses(gt, safe, sqrt_safe, metric, y_idx))) / n
         )
         tracer.mark(updates, acc_per_epoch[-1])
         if updates == 0:
             break
     clf.norms_.recompute(model)
+    loop_s = time.perf_counter() - t0 - dots_s - columns.seconds
     return columns.record(TrainReport(
         epochs_run=len(updates_per_epoch),
         updates_per_epoch=updates_per_epoch,
         train_accuracy_per_epoch=acc_per_epoch,
+        phase_seconds={"dots": dots_s, "columns": columns.seconds,
+                       "loop": loop_s},
     ))
 
 
@@ -759,7 +910,7 @@ def _retrain_gram_adaptive(clf, encodings: np.ndarray, y_idx: np.ndarray,
         sqrt_safe = np.sqrt(safe)
         updates_per_epoch.append(updates)
         acc_per_epoch.append(
-            (n - _gram_errors(gt, safe, sqrt_safe, metric, y_idx)) / n
+            (n - len(_gram_misses(gt, safe, sqrt_safe, metric, y_idx))) / n
         )
         tracer.mark(updates, acc_per_epoch[-1])
         if updates == 0 and not clf.update_on_correct:
@@ -775,33 +926,52 @@ def _retrain_gram_adaptive(clf, encodings: np.ndarray, y_idx: np.ndarray,
 # -- entry point ------------------------------------------------------------
 
 
-def retrain(clf, encodings: np.ndarray, y_idx: np.ndarray) -> TrainReport:
-    """Run retraining for a fitted-init classifier under its engine flag.
+def retrain(clf, encodings: np.ndarray, y_idx: np.ndarray,
+            n_classes: Optional[int] = None,
+            count_bound: Optional[int] = None) -> TrainReport:
+    """Run retraining for a classifier under its engine flag.
 
-    Resolves ``clf.config.train_engine`` via :func:`plan_retraining` (recorded
-    on ``clf.train_plan_``) and dispatches on the classifier's update
-    rule (``clf.train_rule``: ``"paper"`` or ``"adaptive"``).
+    With ``n_classes``, first initialize ``clf.model_`` and
+    ``clf.norms_`` from the :func:`class_sums` of ``encodings``
+    (``count_bound`` bounds every ``|count|``; see there); otherwise
+    ``clf`` must already hold its starting model.  Resolves
+    ``clf.config.train_engine`` via :func:`plan_retraining` (recorded on
+    ``clf.train_plan_``) and dispatches on the classifier's update rule
+    (``clf.train_rule``: ``"paper"`` or ``"adaptive"``).  One ``train``
+    span covers the whole call, with ``train.init`` and ``train.plan``
+    children.
     """
     rule = getattr(clf, "train_rule", "paper")
-    t0 = time.perf_counter()
-    h2 = np.empty(len(encodings))  # filled by the planner's scan of E
-    plan = plan_retraining(
-        encodings,
-        n_classes=clf.model_.shape[0],
-        epochs=clf.epochs,
-        engine=clf.config.train_engine,
-        rule=rule,
-        budget_bytes=clf.config.train_memory_budget,
-        assume_integral=getattr(clf, "_encodings_integral", False),
-        h2=h2,
-    )
-    clf.train_plan_ = plan
     n, dim = encodings.shape if encodings.ndim == 2 else (len(encodings), 0)
-    n_classes = clf.model_.shape[0]
+    phases: Dict[str, float] = {}
     with obs_trace.span(
-        "train", engine=plan.engine, rule=rule, samples=n,
-        n_classes=n_classes, dim=dim, epochs=clf.epochs,
+        "train", rule=rule, samples=n, dim=dim, epochs=clf.epochs,
     ) as sp:
+        if n_classes is not None:
+            t_init = time.perf_counter()
+            with obs_trace.span("train.init", samples=n, dim=dim):
+                clf.model_ = class_sums(encodings, y_idx, n_classes,
+                                        count_bound)
+                clf.norms_ = SubNormTable(n_classes, dim, block=clf.norm_block)
+                clf.norms_.recompute(clf.model_)
+            phases["init"] = time.perf_counter() - t_init
+        t0 = time.perf_counter()
+        n_classes = clf.model_.shape[0]
+        h2 = np.empty(n)  # filled by the planner's scan of E
+        with obs_trace.span("train.plan"):
+            plan = plan_retraining(
+                encodings,
+                n_classes=n_classes,
+                epochs=clf.epochs,
+                engine=clf.config.train_engine,
+                rule=rule,
+                budget_bytes=clf.config.train_memory_budget,
+                assume_integral=getattr(clf, "_encodings_integral", False),
+                h2=h2,
+                model=clf.model_,
+            )
+        clf.train_plan_ = plan
+        phases["plan"] = time.perf_counter() - t0
         if plan.engine == "gram":
             if rule == "adaptive":
                 report = _retrain_gram_adaptive(clf, encodings, y_idx,
@@ -812,13 +982,18 @@ def retrain(clf, encodings: np.ndarray, y_idx: np.ndarray) -> TrainReport:
             report = _retrain_reference_adaptive(clf, encodings, y_idx)
         else:
             report = _retrain_reference_paper(clf, encodings, y_idx)
+        report.seconds = time.perf_counter() - t0
+        phases.update(report.phase_seconds
+                      or {"loop": report.seconds - phases["plan"]})
+        report.phase_seconds = phases
         if sp.recording:
             # logical work, engine-independent: every sample is scored
             # against every class each epoch (dim MACs per pair), and a
             # misprediction moves two class rows plus their norm deltas
             total_updates = int(sum(report.updates_per_epoch))
             score_macs = report.epochs_run * n * n_classes * dim
-            sp.set(epochs_run=report.epochs_run, updates=total_updates)
+            sp.set(engine=plan.engine, n_classes=n_classes,
+                   epochs_run=report.epochs_run, updates=total_updates)
             if plan.engine == "gram":
                 sp.set(gram_columns=report.gram_columns,
                        gram_kernel_built=report.gram_kernel_built)
@@ -827,5 +1002,4 @@ def retrain(clf, encodings: np.ndarray, y_idx: np.ndarray) -> TrainReport:
                 add_ops=score_macs + total_updates * 4 * dim,
                 mem_bytes=report.epochs_run * (n + n_classes) * dim * 8,
             )
-    report.seconds = time.perf_counter() - t0
     return report

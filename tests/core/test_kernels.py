@@ -458,6 +458,41 @@ class TestInPlaceReducer:
         out_rows = len(bins) * enc.dim * 4
         assert four <= 1.25 * one + out_rows, (one, four, out_rows)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int32])
+    def test_tiles_land_in_the_callers_rows(self, dtype):
+        """``out=`` takes every tile's counts: no int32 staging array."""
+        import tracemalloc
+
+        X = _data(12, 128, 256)
+        enc = GenericEncoder(dim=8192, num_levels=16, seed=9,
+                             engine="packed").fit(X)
+        plan = enc.encode_plan()
+        sources = EncodeSources(kernel=enc._current_kernel())
+        bins = enc.quantizer.transform(X)
+        assert len(bins) >= 4 * plan.tile_rows
+
+        def peak(*out):
+            tracemalloc.start()
+            try:
+                got = plan.execute(sources, bins, *out)
+                return got, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        expected, staged = peak()
+        for rows in (plan.tile_rows, len(bins)):  # one tile, four tiles
+            out = np.empty((rows, enc.dim), dtype=dtype)
+            assert plan.execute(sources, bins[:rows], out) is out
+            np.testing.assert_array_equal(out, expected[:rows])
+        got, direct = peak(out)
+        assert got is out
+        staging = len(bins) * enc.dim * 4
+        assert direct + staging // 2 < staged, (direct, staged, staging)
+        words = np.empty((len(bins), plan.words), dtype=np.uint64)
+        assert plan.execute_signs(sources, bins, words) is words
+        np.testing.assert_array_equal(words,
+                                      plan.execute_signs(sources, bins))
+
 
 class TestKernelValidation:
     def test_level_shape_mismatch(self):

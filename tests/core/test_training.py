@@ -6,6 +6,8 @@ same model matrix, same sub-norm table, same per-epoch update counts
 and accuracies -- across metrics, shuffle settings and encoders.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -436,3 +438,258 @@ class TestFloat32Exactness:
         np.testing.assert_array_equal(
             training._block_norm2(E32[:, :64], 4, 16),
             np.einsum("ijk,ijk->ij", *[E[:, :64].reshape(n, 4, 16)] * 2))
+
+
+# -- float32 passes of the fit: each taken exactly when its guard holds ----
+
+
+_F32 = 2**24
+
+
+def _exact_h2(E):
+    """Row squared norms in Python integers."""
+    return [sum(int(v) ** 2 for v in row) for row in E]
+
+
+def _boundary_row(dim, target):
+    """An integer row with ``||row||²`` of exactly ``target`` (greedy)."""
+    row, left = np.zeros(dim), int(target)
+    for k in range(dim):
+        v = math.isqrt(left)
+        row[k], left = v, left - v * v
+    assert left == 0
+    return row
+
+
+class TestFloat32Paths:
+    """The float32 ``h2``, dot-cache limbs and class sums, at their limits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 12),
+           offset=st.sampled_from([-2, -1, 0, 1, 2, None]),
+           epochs=st.integers(1, 4))
+    def test_h2_pass_is_exact_exactly_below_its_limit(self, seed, n, offset,
+                                                      epochs):
+        rng = np.random.default_rng(seed)
+        E = rng.integers(-40, 41, size=(n, 16)).astype(np.float64)
+        if offset is not None:  # one row at 2**24 + offset
+            E[rng.integers(n)] = rng.permutation(
+                _boundary_row(16, _F32 + offset))
+        E32 = E.astype(np.float32)
+        exact = _exact_h2(E)
+        below = max(exact) < _F32
+        h2 = np.empty(n)
+        assert training._exact_h2_f32(E32, h2) == below
+        if below:
+            assert h2.tolist() == exact
+        assert not training._exact_h2_f32(E, np.empty(n))  # float64 E
+        # the plan's h2 and decisions equal the float64 plan's either way
+        plans = {}
+        for name, enc in (("f32", E32), ("f64", E)):
+            out = np.empty(n)
+            plans[name] = plan_retraining(enc, 3, epochs, engine="gram",
+                                          assume_integral=True, h2=out)
+            assert out.tolist() == exact
+        assert plans["f32"].exact == plans["f64"].exact
+        assert plans["f32"].kernel_dtype == plans["f64"].kernel_dtype == (
+            "float32" if below else "float64")
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), k=st.integers(3, 11),
+           dim=st.sampled_from([4, 16, 64]), delta=st.integers(-2, 2),
+           sign=st.sampled_from([-1, 1]))
+    def test_limb_guard_and_dot_cache(self, seed, k, dim, delta, sign):
+        """``max ||hi||·max ||h||`` at 2**24 + delta·2**k: limbs iff below."""
+        rng = np.random.default_rng(seed)
+        n, n_classes = 6, 3
+        E = rng.integers(-1, 2, size=(n, dim)).astype(np.float64)
+        E[0] = 0.0
+        E[0, 0] = 2.0**k  # max ||h||² = 4**k >= dim
+        h2_max = max(_exact_h2(E))
+        assert h2_max == 4**k
+        shift = max([s for s in range(25)
+                     if 4**s * dim * max(h2_max, 1) < _F32**2] + [0])
+        model = rng.integers(-50, 51, size=(n_classes, dim)).astype(np.float64)
+        # ||hi_1||·max ||h|| = 2**24 + delta·2**k
+        model[1] = 0.0
+        model[1, 0] = (sign * (2 ** (24 - k) + delta) * 2**shift
+                       + rng.integers(0, 2**shift))
+        hi = np.floor(model / 2.0**shift)
+        guard = max(sum(int(v) ** 2 for v in r) for r in hi) * h2_max < _F32**2
+        got = training._limb_shift(model, float(h2_max))
+        assert got == (shift if guard else None)
+        E32 = E.astype(np.float32)
+        exact = model @ E.T  # integers far below 2**53: exact
+        np.testing.assert_array_equal(training._class_dots(model, E32, got),
+                                      exact)
+        np.testing.assert_array_equal(training._class_dots(model, E32), exact)
+        plan = plan_retraining(E32, n_classes, 1, engine="gram",
+                               assume_integral=True, model=model)
+        assert plan.dot_shift == (got if plan.exact else None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), count=st.integers(2, 40),
+           delta=st.integers(-2, 2), n_classes=st.integers(1, 4))
+    def test_class_sums_in_float32_exactly_below_the_limit(
+            self, seed, count, delta, n_classes):
+        """Largest class times the count bound at 2**24 + delta."""
+        rng = np.random.default_rng(seed)
+        bound = -(-(_F32 + delta) // count)  # count·bound just past the edge
+        y = np.concatenate([np.zeros(count, dtype=np.intp),
+                            rng.integers(0, n_classes, size=count // 2)])
+        counts = np.bincount(y, minlength=n_classes)
+        E = rng.integers(-bound, bound + 1, size=(len(y), 8)).astype(np.float64)
+        E[y == 0, 0] = bound  # class 0's first sum: count·bound
+        E32 = E.astype(np.float32)
+        assert np.array_equal(E32, E)  # every count is held exactly
+        expect = np.array([E[y == c].astype(np.int64).sum(axis=0)
+                           for c in range(n_classes)], dtype=np.float64)
+        f32 = int(counts.max()) * bound < _F32
+        seen = []
+        real_sum = np.ndarray.sum
+
+        class Spy(np.ndarray):
+            pass
+
+        def spy(self, *args, **kw):
+            seen.append(np.dtype(kw.get("dtype")).name)
+            return real_sum(np.asarray(self), *args, **kw)
+
+        Spy.sum = spy
+        for enc in (E32, E):
+            seen.clear()
+            got = training.class_sums(enc.view(Spy), y, n_classes, bound)
+            np.testing.assert_array_equal(got, expect)
+            assert set(seen) == {"float32" if f32 and enc is E32
+                                 else "float64"}
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(2, 10),
+           delta=st.integers(-3, 3), epochs=st.integers(1, 3),
+           metric=st.sampled_from(["cosine", "dot"]))
+    def test_growth_bound_at_2_pow_52(self, seed, n, delta, epochs, metric):
+        """``B = max ||M0_c|| + epochs·Σ ||h_i||`` at 2**26 + delta."""
+        rng = np.random.default_rng(seed)
+        E = np.zeros((n, 8))
+        E[:, 0] = rng.integers(1, 9, size=n) * rng.choice([-1, 1], size=n)
+        y = rng.integers(0, 2, size=n)
+        model = np.zeros((2, 8))
+        model[0, 0] = 2**26 + delta - epochs * int(np.abs(E[:, 0]).sum())
+        below = (2**26 + delta) ** 2 < 2**52
+        plan = plan_retraining(E.astype(np.float32), 2, epochs,
+                               assume_integral=True, model=model)
+        assert plan.exact == below
+        assert plan.engine == ("gram" if below else "reference")
+        fits = {}
+        for engine in ("reference", "auto"):
+            clf = HDClassifier(None, epochs=epochs, metric=metric, seed=1,
+                               norm_block=4,
+                               config=ComputeConfig(train_engine=engine))
+            clf.classes_ = np.arange(2)
+            clf.model_ = model.copy()
+            clf.norms_ = SubNormTable(2, 8, block=4)
+            clf.norms_.recompute(clf.model_)
+            clf.report_ = training.retrain(clf, E.astype(np.float32), y)
+            fits[engine] = clf
+        assert fits["auto"].train_plan_.engine == plan.engine
+        _assert_same_training(fits["reference"], fits["auto"])
+
+
+class TestStartingModel:
+    """The exactness proof covers the model retraining starts from."""
+
+    def _plan(self, model):
+        E = np.random.default_rng(0).integers(-5, 6, size=(20, 16))
+        return plan_retraining(E.astype(np.float32), 3, 4,
+                               assume_integral=True, model=model)
+
+    def test_small_integer_start_is_exact(self):
+        plan = self._plan(np.full((3, 16), 7.0))
+        assert plan.engine == "gram" and plan.exact
+
+    @pytest.mark.parametrize("model", [
+        np.full((3, 16), 0.5),                 # non-integer
+        np.full((3, 16), 2.0**30),             # B² past 2**52
+        np.full((3, 16), np.nan),
+    ])
+    def test_large_or_non_integer_start_resolves_to_reference(self, model):
+        plan = self._plan(model)
+        assert plan.engine == "reference" and not plan.exact
+
+    def test_retrain_from_a_non_integer_model(self):
+        init = _fit("auto", epochs=0)
+        clf = init.with_model(init.model_ + 0.25)
+        clf.epochs = 3
+        X, y = _workload()
+        E = clf.encoder.encode_batch(X)
+        training.retrain(clf, E, np.searchsorted(clf.classes_, y))
+        assert clf.train_plan_.engine == "reference"
+        assert not clf.train_plan_.exact
+
+
+class TestForecastColumns:
+    def _provider(self, E, forecast, budget):
+        plan = plan_retraining(E, 2, 3, engine="gram", assume_integral=True,
+                               budget_bytes=budget)
+        return training._ColumnProvider(E, plan, forecast=forecast)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forecast_columns_equal_single_columns(self, dtype):
+        E = np.random.default_rng(1).integers(
+            -9, 10, size=(64, 32)).astype(dtype)
+        exact = E.astype(np.float64) @ E.astype(np.float64).T
+        cols = self._provider(E, np.array([5, 9, 2]), budget=None)
+        assert cols.kernel is None  # 3 columns: below the break-even (4)
+        for i in (9, 5, 9, 40, 2):
+            np.testing.assert_array_equal(cols.column(i), exact[i])
+        assert cols.computed == 4  # distinct columns used, not fetched
+
+    def test_unforecast_columns_build_k_at_the_break_even(self):
+        E = np.random.default_rng(2).integers(
+            -9, 10, size=(64, 32)).astype(np.float32)
+        cols = self._provider(E, np.array([0, 1]), budget=None)
+        for i in range(64 // training._GEMM_GAIN):
+            cols.column(i)
+        assert cols.kernel is None
+        cols.column(1)  # seen before: from the cache
+        assert cols.kernel is None
+        cols.column(63)
+        assert cols.kernel is not None
+        assert cols.computed == 64 // training._GEMM_GAIN
+
+
+class TestFitPhases:
+    def test_fit_reports_every_phase(self):
+        report = _fit("gram").report_
+        assert set(report.phase_seconds) == {
+            "init", "plan", "dots", "columns", "loop"}
+        assert all(v >= 0.0 for v in report.phase_seconds.values())
+
+    def test_retrain_without_init_and_reference_loop(self):
+        clf = _fit("reference")
+        assert set(clf.report_.phase_seconds) == {"init", "plan", "loop"}
+        X, y = _workload()
+        report = training.retrain(clf, clf.encoder.encode_batch(X),
+                                  np.searchsorted(clf.classes_, y))
+        assert set(report.phase_seconds) == {"plan", "loop"}
+
+    def test_init_and_plan_spans_nest_in_train(self):
+        from repro.obs import trace as obs_trace
+        from repro.obs.export import CollectorSink
+
+        sink = CollectorSink()
+        obs_trace.enable_tracing(sink)
+        try:
+            _fit("gram")
+        finally:
+            obs_trace.disable_tracing()
+        paths = {r["name"]: r["path"] for r in sink.spans}
+        assert paths["train.init"] == "train/train.init"
+        assert paths["train.plan"] == "train/train.plan"
+
+    def test_plan_prints_its_dtypes(self):
+        plan = _fit("gram").train_plan_
+        assert plan.dot_shift is not None  # float32 E, integer model
+        text = str(plan)
+        assert "kernel_dtype=float32" in text
+        assert "encodings_dtype=float32" in text
