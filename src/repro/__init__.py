@@ -32,7 +32,6 @@ The package splits the paper's system into four layers:
 from repro.core.classifier import HDClassifier
 from repro.core.clustering import HDCluster
 from repro.core.config import ComputeConfig
-from repro.core.online import AdaptiveHDClassifier
 from repro.core.packed import PackedModel
 from repro.core.encoders import (
     GenericEncoder,
@@ -46,7 +45,6 @@ from repro.hardware.accelerator import GenericAccelerator
 from repro.version import __version__
 
 __all__ = [
-    "AdaptiveHDClassifier",
     "ComputeConfig",
     "GenericAccelerator",
     "GenericEncoder",

@@ -14,7 +14,6 @@ from repro.core.training import (
     TrainReport,
     plan_retraining,
 )
-from repro.core.online import AdaptiveHDClassifier
 from repro.core.packed import PackedModel
 from repro.core.hypervector import (
     bind,
@@ -42,7 +41,6 @@ from repro.core.kernels import (
 )
 
 __all__ = [
-    "AdaptiveHDClassifier",
     "ComputeConfig",
     "TRAIN_ENGINES",
     "TrainPlan",

@@ -66,9 +66,6 @@ class HDClassifier:
         the encoder's own setting (``GenericEncoder(engine=...)``).
     """
 
-    #: update rule implemented by this class (see repro.core.training)
-    train_rule = "paper"
-
     def __init__(
         self,
         encoder: Encoder,
@@ -111,18 +108,13 @@ class HDClassifier:
         if not self.encoder.fitted:
             self.encoder.fit(X)
         # counts land straight in the matrix retraining works on: float32
-        # (half of float64's footprint) for the paper's integer rule
-        # whenever it holds every count exactly, else float64
-        f32 = (self.train_rule == "paper"
-               and self.encoder.holds_counts(np.float32))
+        # (half of float64's footprint) whenever it holds every count
+        # exactly, else float64
+        f32 = self.encoder.holds_counts(np.float32)
         encodings = self.encoder.encode_batch(
             X, n_jobs=self.config.encode_jobs,
             dtype=np.float32 if f32 else np.float64,
         )
-        # encoders return integer counts (Encoder._encode_chunk), which
-        # lets the training planner skip its whole-array integer check
-        # (see training.plan_retraining)
-        self._encodings_integral = True
         self.classes_, y_idx = np.unique(y, return_inverse=True)
         n_classes = len(self.classes_)
 
@@ -132,10 +124,12 @@ class HDClassifier:
                 f"encoder dim {dim} must be a multiple of norm_block={self.norm_block}"
             )
         # initialization (class sums) and retraining (Fig. 1c) under
-        # config.train_engine, in one ``train`` span
+        # config.train_engine, in one ``train`` span; encoders return
+        # integer counts (Encoder._encode_chunk), so the planner skips
+        # its whole-array integer scan
         self.report_ = training.retrain(
             self, encodings, y_idx, n_classes=n_classes,
-            count_bound=self.encoder.max_abs_count,
+            count_bound=self.encoder.max_abs_count, assume_integral=True,
         )
         return self
 

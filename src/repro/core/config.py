@@ -5,7 +5,6 @@ and how it spends its compute -- ``encode_jobs`` (encode-stage thread
 fan-out), ``train_engine`` (retraining engine) and
 ``train_memory_budget`` (gram-cache byte cap).
 :class:`~repro.core.classifier.HDClassifier`,
-:class:`~repro.core.online.AdaptiveHDClassifier`,
 :class:`~repro.core.clustering.HDCluster` and
 :class:`~repro.core.packed.PackedModel` accept it as ``config=``; a
 server deploying one of them reads the knobs from the model.

@@ -43,8 +43,8 @@ it cannot prove exactness or when the Gram cache would not fit the
 memory budget.
 
 **Why float32 changes nothing either.**  :meth:`HDClassifier.fit
-<repro.core.classifier.HDClassifier.fit>` stores the paper rule's
-encodings ``E`` in float32 when the encoder's count bound
+<repro.core.classifier.HDClassifier.fit>` stores its encodings ``E``
+in float32 when the encoder's count bound
 (:attr:`~repro.core.encoders.base.Encoder.max_abs_count`) is at most
 2**24, so every count is held exactly at half of float64's memory.
 Float32 *arithmetic* is exact on integers whose every intermediate
@@ -77,13 +77,6 @@ float64 copy of the whole ``E`` is ever made.
   ``n_c · max_abs_count``; when the largest class times the encoder's
   count bound is below 2**24 -- known before any row is read -- the
   rows are summed in float32 (:func:`class_sums`).
-
-The adaptive (OnlineHD-style) rule of
-:class:`~repro.core.online.AdaptiveHDClassifier` scales updates by
-continuous similarities, so its cached dots drift from fresh ones at
-float rounding level; its gram engine is numerically equivalent (and
-refreshes the cache every epoch) but not guaranteed bit-identical,
-which is why ``auto`` resolves to ``reference`` for the adaptive rule.
 """
 
 from __future__ import annotations
@@ -176,7 +169,6 @@ class TrainPlan:
 
     requested: str          # what the caller asked for
     engine: str             # "reference" | "gram"
-    rule: str               # "paper" | "adaptive"
     exact: bool             # gram proven bit-identical to reference
     kernel: str             # "precomputed" (K fits: built past the
                             # break-even) | "columns" | "none"
@@ -193,7 +185,7 @@ class TrainPlan:
     def __str__(self) -> str:
         dots = "float64" if self.dot_shift is None else f"limbs(s={self.dot_shift})"
         return (
-            f"TrainPlan({self.requested!r} -> {self.engine!r}, rule={self.rule}, "
+            f"TrainPlan({self.requested!r} -> {self.engine!r}, "
             f"exact={self.exact}, kernel={self.kernel}, "
             f"kernel_dtype={self.kernel_dtype}, "
             f"encodings_dtype={self.encodings_dtype}, dots={dots}, "
@@ -325,7 +317,6 @@ def plan_retraining(
     n_classes: int,
     epochs: int,
     engine: str = "auto",
-    rule: str = "paper",
     budget_bytes: Optional[int] = None,
     assume_integral: bool = False,
     h2: Optional[np.ndarray] = None,
@@ -351,7 +342,7 @@ def plan_retraining(
     e_dtype = encodings.dtype.name
 
     def reference(reason: str, exact: bool = True) -> TrainPlan:
-        return TrainPlan(engine, "reference", rule, exact, "none", "-",
+        return TrainPlan(engine, "reference", exact, "none", "-",
                          e_dtype, 0, budget, reason)
 
     if engine == "reference":
@@ -364,22 +355,15 @@ def plan_retraining(
     stats = None
     if not (integral and _exact_h2_f32(encodings, h2)):
         stats = _bound_stats(encodings, h2=h2)
-    exact = (rule == "paper" and integral
-             and (model is None or _is_integral(model)))
+    exact = integral and (model is None or _is_integral(model))
     if exact and not _norm_bound_holds(h2, epochs, model):
         stats = _bound_stats(encodings) if stats is None else stats
         exact = _column_bound_holds(stats, epochs, model)
-    if engine == "auto":
-        if rule != "paper":
-            return reference(
-                "adaptive updates are similarity-scaled (non-integer); "
-                "gram replay is not provably bit-identical", exact=False,
-            )
-        if not exact:
-            return reference(
-                "encodings or starting model fail the integer-exactness "
-                "bound for gram replay", exact=False,
-            )
+    if engine == "auto" and not exact:
+        return reference(
+            "encodings or starting model fail the integer-exactness "
+            "bound for gram replay", exact=False,
+        )
 
     # gram-cache layout: G (n_classes, n) + h2 (n) always; K when it fits
     g_bytes = n_classes * n * 8 + n * 8
@@ -401,7 +385,7 @@ def plan_retraining(
     shift = None
     if exact and model is not None and kernel_f32 and e_dtype == "float32":
         shift = _limb_shift(model, h2_max)
-    return TrainPlan(engine, "gram", rule, exact, kernel, k_dtype, e_dtype,
+    return TrainPlan(engine, "gram", exact, kernel, k_dtype, e_dtype,
                      cache, budget, "gram cache fits the memory budget",
                      dot_shift=shift)
 
@@ -432,7 +416,7 @@ class _ColumnProvider:
     """
 
     def __init__(self, encodings: np.ndarray, plan: TrainPlan,
-                 forecast: np.ndarray = ()):
+                 forecast: np.ndarray):
         self._E = encodings
         n = len(encodings)
         self._f32 = plan.kernel_dtype == "float32"
@@ -633,12 +617,11 @@ class _EpochTracer:
     boundary; everything is a no-op while tracing is disabled.
     """
 
-    __slots__ = ("engine", "rule", "epoch", "_t0", "_enabled")
+    __slots__ = ("engine", "epoch", "_t0", "_enabled")
 
-    def __init__(self, engine: str, rule: str):
+    def __init__(self, engine: str):
         self._enabled = obs_trace.tracing_enabled()
         self.engine = engine
-        self.rule = rule
         self.epoch = 0
         self._t0 = time.perf_counter() if self._enabled else 0.0
 
@@ -649,8 +632,7 @@ class _EpochTracer:
         obs_trace.emit_span(
             "train.epoch", now - self._t0,
             attrs={
-                "engine": self.engine, "rule": self.rule,
-                "epoch": self.epoch, "updates": updates,
+                "engine": self.engine, "epoch": self.epoch, "updates": updates,
                 "train_accuracy": accuracy,
             },
         )
@@ -658,11 +640,11 @@ class _EpochTracer:
         self._t0 = now
 
 
-# -- reference engines ------------------------------------------------------
+# -- reference engine -------------------------------------------------------
 
 
-def _retrain_reference_paper(clf, encodings: np.ndarray,
-                             y_idx: np.ndarray) -> TrainReport:
+def _retrain_reference(clf, encodings: np.ndarray,
+                       y_idx: np.ndarray) -> TrainReport:
     """The paper's per-sample rule (Fig. 1c), scored against the live model.
 
     Norm maintenance uses :meth:`SubNormTable.delta_update` (exact
@@ -674,7 +656,7 @@ def _retrain_reference_paper(clf, encodings: np.ndarray,
     acc_per_epoch: List[float] = []
     n = len(encodings)
     order = np.arange(n)
-    tracer = _EpochTracer("reference", "paper")
+    tracer = _EpochTracer("reference")
     h_blk2 = None
     if clf.epochs > 0 and n > 0:
         h_blk2 = _block_norm2(encodings, clf.norms_.n_blocks, clf.norms_.block)
@@ -706,51 +688,11 @@ def _retrain_reference_paper(clf, encodings: np.ndarray,
     )
 
 
-def _retrain_reference_adaptive(clf, encodings: np.ndarray,
-                                y_idx: np.ndarray) -> TrainReport:
-    """Similarity-weighted (OnlineHD-style) per-sample rule."""
-    updates_per_epoch: List[int] = []
-    acc_per_epoch: List[float] = []
-    n = len(encodings)
-    order = np.arange(n)
-    tracer = _EpochTracer("reference", "adaptive")
-    for _ in range(clf.epochs):
-        if clf.shuffle:
-            clf.rng.shuffle(order)
-        updates = 0
-        for i in order:
-            h = encodings[i]
-            sims = clf._cosine_row(h)
-            pred = int(np.argmax(sims))
-            truth = int(y_idx[i])
-            if pred != truth:
-                clf.model_[truth] += clf.lr * (1.0 - sims[truth]) * h
-                clf.model_[pred] -= clf.lr * (1.0 - sims[pred]) * h
-                clf.norms_.update_class(truth, clf.model_[truth])
-                clf.norms_.update_class(pred, clf.model_[pred])
-                updates += 1
-            elif clf.update_on_correct:
-                bump = 0.1 * clf.lr * (1.0 - sims[truth])
-                if bump > 0:
-                    clf.model_[truth] += bump * h
-                    clf.norms_.update_class(truth, clf.model_[truth])
-        updates_per_epoch.append(updates)
-        acc_per_epoch.append(_chunked_epoch_accuracy(clf, encodings, y_idx))
-        tracer.mark(updates, acc_per_epoch[-1])
-        if updates == 0 and not clf.update_on_correct:
-            break
-    return TrainReport(
-        epochs_run=len(updates_per_epoch),
-        updates_per_epoch=updates_per_epoch,
-        train_accuracy_per_epoch=acc_per_epoch,
-    )
+# -- gram engine ------------------------------------------------------------
 
 
-# -- gram engines -----------------------------------------------------------
-
-
-def _retrain_gram_paper(clf, encodings: np.ndarray, y_idx: np.ndarray,
-                        plan: TrainPlan, h2: np.ndarray) -> TrainReport:
+def _retrain_gram(clf, encodings: np.ndarray, y_idx: np.ndarray,
+                  plan: TrainPlan, h2: np.ndarray) -> TrainReport:
     """Gram-cached replay of the paper's rule (result-identical).
 
     ``gt`` is the transposed dot cache ``(n_classes, n)`` so the two
@@ -788,7 +730,7 @@ def _retrain_gram_paper(clf, encodings: np.ndarray, y_idx: np.ndarray,
     updates_per_epoch: List[int] = []
     acc_per_epoch: List[float] = []
     order = np.arange(n)
-    tracer = _EpochTracer("gram", "paper")
+    tracer = _EpochTracer("gram")
     for _ in range(clf.epochs):
         if clf.shuffle:
             clf.rng.shuffle(order)
@@ -849,104 +791,28 @@ def _retrain_gram_paper(clf, encodings: np.ndarray, y_idx: np.ndarray,
     ))
 
 
-def _retrain_gram_adaptive(clf, encodings: np.ndarray, y_idx: np.ndarray,
-                           plan: TrainPlan, h2: np.ndarray) -> TrainReport:
-    """Gram-cached adaptive rule (numerically equivalent, not bit-exact).
-
-    Updates are scaled by continuous similarities, so the cached dots
-    accumulate float rounding; the cache and norms are refreshed from
-    the model at every epoch boundary to keep drift at rounding level.
-    """
-    model = clf.model_
-    n = len(encodings)
-    metric = clf.metric
-    gt = _class_dots(model, encodings)
-    hn = np.sqrt(h2)
-    columns = _ColumnProvider(encodings, plan)
-    norm2 = clf.norms_.full_norm2()
-
-    updates_per_epoch: List[int] = []
-    acc_per_epoch: List[float] = []
-    order = np.arange(n)
-    tracer = _EpochTracer("gram", "adaptive")
-    y_list = [int(v) for v in y_idx]
-    lr = clf.lr
-    for _ in range(clf.epochs):
-        if clf.shuffle:
-            clf.rng.shuffle(order)
-        sqrt_n2 = np.sqrt(norm2)
-        updates = 0
-        for i in order.tolist():
-            g = gt[:, i]
-            denom = sqrt_n2 * hn[i]
-            sims = g / np.where(denom == 0.0, np.inf, denom)
-            pred = int(np.argmax(sims))
-            truth = y_list[i]
-            if pred != truth:
-                a_t = lr * (1.0 - sims[truth])
-                a_p = lr * (1.0 - sims[pred])
-                norm2[truth] += 2.0 * a_t * gt[truth, i] + a_t * a_t * h2[i]
-                norm2[pred] += -2.0 * a_p * gt[pred, i] + a_p * a_p * h2[i]
-                col = columns.column(i)
-                gt[truth] += a_t * col
-                gt[pred] -= a_p * col
-                h = encodings[i]
-                model[truth] += a_t * h
-                model[pred] -= a_p * h
-                sqrt_n2[truth] = np.sqrt(max(norm2[truth], 0.0))
-                sqrt_n2[pred] = np.sqrt(max(norm2[pred], 0.0))
-                updates += 1
-            elif clf.update_on_correct:
-                bump = 0.1 * lr * (1.0 - sims[truth])
-                if bump > 0:
-                    norm2[truth] += 2.0 * bump * gt[truth, i] + bump * bump * h2[i]
-                    gt[truth] += bump * columns.column(i)
-                    model[truth] += bump * encodings[i]
-                    sqrt_n2[truth] = np.sqrt(max(norm2[truth], 0.0))
-        # refresh from the model: caps float drift at one epoch's worth
-        gt = _class_dots(model, encodings)
-        norm2 = np.einsum("ij,ij->i", model, model)
-        safe = np.where(norm2 <= 0.0, np.inf, norm2)
-        sqrt_safe = np.sqrt(safe)
-        updates_per_epoch.append(updates)
-        acc_per_epoch.append(
-            (n - len(_gram_misses(gt, safe, sqrt_safe, metric, y_idx))) / n
-        )
-        tracer.mark(updates, acc_per_epoch[-1])
-        if updates == 0 and not clf.update_on_correct:
-            break
-    clf.norms_.recompute(model)
-    return columns.record(TrainReport(
-        epochs_run=len(updates_per_epoch),
-        updates_per_epoch=updates_per_epoch,
-        train_accuracy_per_epoch=acc_per_epoch,
-    ))
-
-
 # -- entry point ------------------------------------------------------------
 
 
 def retrain(clf, encodings: np.ndarray, y_idx: np.ndarray,
             n_classes: Optional[int] = None,
-            count_bound: Optional[int] = None) -> TrainReport:
-    """Run retraining for a classifier under its engine flag.
+            count_bound: Optional[int] = None,
+            assume_integral: bool = False) -> TrainReport:
+    """Run the paper's retraining for a classifier under its engine flag.
 
     With ``n_classes``, first initialize ``clf.model_`` and
     ``clf.norms_`` from the :func:`class_sums` of ``encodings``
     (``count_bound`` bounds every ``|count|``; see there); otherwise
     ``clf`` must already hold its starting model.  Resolves
     ``clf.config.train_engine`` via :func:`plan_retraining` (recorded on
-    ``clf.train_plan_``) and dispatches on the classifier's update rule
-    (``clf.train_rule``: ``"paper"`` or ``"adaptive"``).  One ``train``
-    span covers the whole call, with ``train.init`` and ``train.plan``
-    children.
+    ``clf.train_plan_``); ``assume_integral`` is passed on to it, so
+    only a caller whose ``encodings`` come straight from an encoder
+    should set it.  One ``train`` span covers the whole call, with
+    ``train.init`` and ``train.plan`` children.
     """
-    rule = getattr(clf, "train_rule", "paper")
     n, dim = encodings.shape if encodings.ndim == 2 else (len(encodings), 0)
     phases: Dict[str, float] = {}
-    with obs_trace.span(
-        "train", rule=rule, samples=n, dim=dim, epochs=clf.epochs,
-    ) as sp:
+    with obs_trace.span("train", samples=n, dim=dim, epochs=clf.epochs) as sp:
         if n_classes is not None:
             t_init = time.perf_counter()
             with obs_trace.span("train.init", samples=n, dim=dim):
@@ -964,24 +830,17 @@ def retrain(clf, encodings: np.ndarray, y_idx: np.ndarray,
                 n_classes=n_classes,
                 epochs=clf.epochs,
                 engine=clf.config.train_engine,
-                rule=rule,
                 budget_bytes=clf.config.train_memory_budget,
-                assume_integral=getattr(clf, "_encodings_integral", False),
+                assume_integral=assume_integral,
                 h2=h2,
                 model=clf.model_,
             )
         clf.train_plan_ = plan
         phases["plan"] = time.perf_counter() - t0
         if plan.engine == "gram":
-            if rule == "adaptive":
-                report = _retrain_gram_adaptive(clf, encodings, y_idx,
-                                                plan, h2)
-            else:
-                report = _retrain_gram_paper(clf, encodings, y_idx, plan, h2)
-        elif rule == "adaptive":
-            report = _retrain_reference_adaptive(clf, encodings, y_idx)
+            report = _retrain_gram(clf, encodings, y_idx, plan, h2)
         else:
-            report = _retrain_reference_paper(clf, encodings, y_idx)
+            report = _retrain_reference(clf, encodings, y_idx)
         report.seconds = time.perf_counter() - t0
         phases.update(report.phase_seconds
                       or {"loop": report.seconds - phases["plan"]})

@@ -1,8 +1,7 @@
 """Named model deployments with hot swap.
 
 :class:`Deployment` adapts the repo's two user-facing inference engines
--- full-precision :class:`~repro.core.classifier.HDClassifier` (and its
-:class:`~repro.core.online.AdaptiveHDClassifier` subclass) and the
+-- full-precision :class:`~repro.core.classifier.HDClassifier` and the
 bit-packed :class:`~repro.core.packed.PackedModel` -- to one batched,
 two-stage interface the workers drive:
 

@@ -287,10 +287,6 @@ class BackgroundTrainer:
             window_model = onehot.T @ encodings
             clone.model_[present] = window_model[present]
             clone.norms_.recompute(clone.model_)
-        # integer encodings let the planner pick the gram engine cheaply
-        clone._encodings_integral = bool(
-            np.array_equal(encodings, np.trunc(encodings))
-        )
         with obs_trace.span(
             "stream.retrain", reason=reason, samples=len(encodings),
             init=self.init, epochs=clone.epochs,

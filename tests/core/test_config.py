@@ -12,7 +12,6 @@ from repro.core import ComputeConfig
 from repro.core.classifier import HDClassifier
 from repro.core.clustering import HDCluster
 from repro.core.encoders import GenericEncoder
-from repro.core.online import AdaptiveHDClassifier
 from repro.core.packed import PackedModel
 
 
@@ -46,9 +45,8 @@ class TestLegacyKwargShims:
 
     @pytest.mark.parametrize("make", [
         lambda enc, **kw: HDClassifier(enc, **kw),
-        lambda enc, **kw: AdaptiveHDClassifier(enc, **kw),
         lambda enc, **kw: HDCluster(enc, k=3, **kw),
-    ], ids=["classifier", "adaptive", "cluster"])
+    ], ids=["classifier", "cluster"])
     @pytest.mark.parametrize("kwarg", [
         {"engine": "packed"}, {"encode_jobs": 2},
     ], ids=["engine", "encode_jobs"])
@@ -64,11 +62,6 @@ class TestLegacyKwargShims:
         assert clf.config.train_engine == "gram"
         assert clf.config.encode_jobs == 2
         assert encoder.engine == "auto"  # the encoder keeps its own
-
-    def test_adaptive_classifier_forwards(self, encoder):
-        clf = AdaptiveHDClassifier(encoder,
-                                   config=ComputeConfig(encode_jobs=2))
-        assert clf.config.encode_jobs == 2
 
     def test_cluster_forwards(self, encoder):
         clu = HDCluster(encoder, k=3, config=ComputeConfig(encode_jobs=1))

@@ -19,7 +19,6 @@ from repro.core.config import ComputeConfig
 from repro.core.encoders import GenericEncoder
 from repro.core.encoders.registry import ENCODERS, make_encoder
 from repro.core.norms import SubNormTable
-from repro.core.online import AdaptiveHDClassifier
 from repro.core.training import (
     DEFAULT_TRAIN_BUDGET,
     TRAIN_ENGINES,
@@ -40,11 +39,13 @@ def _workload(n=160, n_features=8, n_classes=5, noise=0.3, seed=3):
 
 
 def _fit(engine, metric="cosine", shuffle=True, use_ids=True,
-         cls=HDClassifier, epochs=6, dim=256, **compute):
+         encoder="generic", epochs=6, dim=256, **compute):
     X, y = _workload()
-    enc = GenericEncoder(dim=dim, num_levels=16, seed=2, use_ids=use_ids)
-    clf = cls(enc, epochs=epochs, metric=metric, shuffle=shuffle, seed=9,
-              config=ComputeConfig(train_engine=engine, **compute))
+    ids = {} if use_ids else {"use_ids": False}  # a GENERIC-only option
+    enc = make_encoder(encoder, dim=dim, num_levels=16, seed=2, **ids)
+    clf = HDClassifier(enc, epochs=epochs, metric=metric, shuffle=shuffle,
+                       seed=9,
+                       config=ComputeConfig(train_engine=engine, **compute))
     clf.fit(X, y)
     return clf
 
@@ -71,11 +72,14 @@ class TestGramIdentity:
         _assert_identical(_fit("reference", use_ids=False),
                           _fit("gram", use_ids=False))
 
-    def test_auto_resolves_to_gram_and_matches(self):
-        auto = _fit("auto")
+    @pytest.mark.parametrize("encoder", sorted(ENCODERS))
+    def test_auto_resolves_to_gram_and_matches(self, encoder):
+        auto = _fit("auto", encoder=encoder)
         assert auto.train_plan_.engine == "gram"
         assert auto.train_plan_.exact
-        _assert_identical(_fit("reference"), auto)
+        ref = _fit("reference", encoder=encoder)
+        assert sum(ref.report_.updates_per_epoch) > 0  # non-trivial run
+        _assert_identical(ref, auto)
 
     def test_same_predictions(self):
         X, _ = _workload(seed=11)
@@ -194,22 +198,6 @@ class TestGramColumnPolicy:
         np.testing.assert_array_equal(col_max, np.abs(E).max(axis=0))
 
 
-class TestAdaptiveEngine:
-    def test_auto_uses_reference_for_adaptive_rule(self):
-        clf = _fit("auto", cls=AdaptiveHDClassifier)
-        assert clf.train_plan_.engine == "reference"
-        assert not clf.train_plan_.exact
-
-    def test_explicit_gram_agrees_to_rounding(self):
-        ref = _fit("reference", cls=AdaptiveHDClassifier)
-        gram = _fit("gram", cls=AdaptiveHDClassifier)
-        assert gram.train_plan_.engine == "gram"
-        assert ref.report_.updates_per_epoch == gram.report_.updates_per_epoch
-        np.testing.assert_allclose(ref.model_, gram.model_, rtol=1e-9)
-        np.testing.assert_allclose(ref.norms_.table, gram.norms_.table,
-                                   rtol=1e-9)
-
-
 class TestPlanning:
     def test_invalid_engine_rejected(self):
         enc = GenericEncoder(dim=128, num_levels=4, seed=0)
@@ -325,10 +313,6 @@ class TestFloat32Encodings:
         enc = make_encoder(name, dim=256, num_levels=4, seed=2).fit(X)
         if enc.max_abs_count is not None:
             assert np.abs(enc.encode_batch(X)).max() <= enc.max_abs_count
-
-    def test_adaptive_fit_keeps_float64(self):
-        clf = _fit("gram", cls=AdaptiveHDClassifier)
-        assert clf.train_plan_.encodings_dtype == "float64"
 
     @pytest.mark.parametrize("engine", TRAIN_ENGINES)
     def test_fit_equals_the_float64_fit(self, engine, monkeypatch):
@@ -622,6 +606,19 @@ class TestStartingModel:
         clf.epochs = 3
         X, y = _workload()
         E = clf.encoder.encode_batch(X)
+        training.retrain(clf, E, np.searchsorted(clf.classes_, y))
+        assert clf.train_plan_.engine == "reference"
+        assert not clf.train_plan_.exact
+
+    @pytest.mark.parametrize("offset", ["quarter", "noise"])
+    def test_fitted_classifier_rechecks_non_integer_encodings(self, offset):
+        """A fit's integer counts vouch for nothing retrained later."""
+        clf = _fit("auto")
+        assert clf.train_plan_.engine == "gram" and clf.train_plan_.exact
+        X, y = _workload()
+        E = clf.encoder.encode_batch(X)
+        E = E + (0.25 if offset == "quarter"
+                 else np.random.default_rng(0).normal(0.0, 0.1, E.shape))
         training.retrain(clf, E, np.searchsorted(clf.classes_, y))
         assert clf.train_plan_.engine == "reference"
         assert not clf.train_plan_.exact
