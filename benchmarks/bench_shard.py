@@ -15,8 +15,8 @@ it regresses:
   -- dirtying model pages would mean the worker *copied* the model,
   which is exactly the per-worker unpickle bloat shared memory exists
   to avoid;
-- **bit-identity**: replica and class-partitioned predictions equal
-  single-process ``predict_packed`` on every query;
+- **bit-identity**: sharded predictions equal single-process
+  ``predict_packed`` on every query;
 - **hot swap**: one epoch swap under continuous load drops or hangs
   zero requests and leaks zero segments.
 
@@ -50,33 +50,28 @@ SPEEDUP_GATE = 1.8
 GATE_CORES = 4
 
 
-def _sharded_config(mode: str, n_shards: int, **kw) -> ShardedServeConfig:
-    base = dict(n_shards=n_shards, mode=mode, max_batch=32,
-                max_shed_level=0, default_deadline=None)
-    base.update(kw)
-    return ShardedServeConfig(**base)
+def _sharded_config(n_shards: int) -> ShardedServeConfig:
+    return ShardedServeConfig(n_shards=n_shards, max_batch=32,
+                              max_shed_level=0, default_deadline=None)
 
 
-def exactness_scenario(packed, queries, n_shards: int, seed: int) -> dict:
-    """Both sharded modes vs single-process predict_packed, bit for bit."""
+def exactness_scenario(packed, queries, n_shards: int) -> dict:
+    """Sharded predictions vs single-process predict_packed, bit for bit."""
     q = queries[:128]
     ref = packed.predict_packed(packed.encode_packed(q))
-    out = {"n_queries": len(q), "modes": {}}
-    for mode in ("replica", "partition"):
-        server = ShardedServer(_sharded_config(mode, n_shards))
-        server.register("bench", packed)
-        with server:
-            preds = server.predict_many("bench", q, timeout=120.0)
-            labels = np.asarray([p.label for p in preds])
-        mismatches = int(np.sum(labels != ref))
-        out["modes"][mode] = {"mismatches": mismatches}
-        print(f"exactness {mode:9s}: {mismatches} mismatches / {len(q)}")
-    return out
+    server = ShardedServer(_sharded_config(n_shards))
+    server.register("bench", packed)
+    with server:
+        preds = server.predict_many("bench", q, timeout=120.0)
+        labels = np.asarray([p.label for p in preds])
+    mismatches = int(np.sum(labels != ref))
+    print(f"exactness: {mismatches} mismatches / {len(q)}")
+    return {"n_queries": len(q), "mismatches": mismatches}
 
 
 def swap_scenario(packed, queries, n_shards: int) -> dict:
     """One hot swap under load: count drops, hangs, leaked segments."""
-    server = ShardedServer(_sharded_config("replica", n_shards))
+    server = ShardedServer(_sharded_config(n_shards))
     server.register("bench", packed)
     futures, submit_errors = [], []
     stop = threading.Event()
@@ -149,18 +144,14 @@ def main(argv=None) -> int:
     packed = train_model(dim=dim, packed=True, seed=args.seed)
 
     throughput = run_backends(
-        n_shards=n_shards, n_requests=n_requests, dim=dim,
-        backends=("thread", "replica", "partition"), seed=args.seed,
+        n_shards=n_shards, n_requests=n_requests, dim=dim, seed=args.seed,
     )
-    exact = exactness_scenario(packed, queries, n_shards, args.seed)
+    exact = exactness_scenario(packed, queries, n_shards)
     swap = swap_scenario(packed, queries, n_shards)
 
     by_backend = {p["backend"]: p for p in throughput["backends"]}
-    thread_rps = by_backend["thread"]["throughput_rps"]
-    speedups = {
-        mode: round(by_backend[mode]["throughput_rps"] / thread_rps, 3)
-        for mode in ("replica", "partition")
-    }
+    speedup = round(by_backend["replica"]["throughput_rps"]
+                    / by_backend["thread"]["throughput_rps"], 3)
     report = {
         "harness": "benchmarks.bench_shard",
         "profile": "quick" if args.quick else "full",
@@ -174,42 +165,38 @@ def main(argv=None) -> int:
         },
         "numpy": np.__version__,
         "throughput": throughput,
-        "speedup_vs_thread": speedups,
+        "speedup_vs_thread": speedup,
         "exactness": exact,
         "swap_under_load": swap,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}  "
-          f"(speedups {speedups}, gate_applied={gate_applied})")
+          f"(speedup {speedup}x, gate_applied={gate_applied})")
 
     if args.check:
         problems = []
-        if gate_applied and speedups["replica"] < args.min_speedup:
+        if gate_applied and speedup < args.min_speedup:
             problems.append(
-                f"replica speedup {speedups['replica']:.2f}x < "
+                f"replica speedup {speedup:.2f}x < "
                 f"{args.min_speedup}x at {n_shards} processes"
             )
-        for backend in ("replica", "partition"):
-            zc = by_backend[backend].get("zero_copy", {})
-            image_bytes = zc.get("image_bytes") or 0
-            for shard, m in zc.get("shards", {}).items():
-                dirty = m.get("mapping_private_dirty_kb", 0) * 1024
-                if m.get("mapping_rss_kb", 0) == 0:
-                    problems.append(
-                        f"{backend} shard {shard}: model mapping not found"
-                    )
-                elif dirty >= max(image_bytes, 4096):
-                    problems.append(
-                        f"{backend} shard {shard}: {dirty} private-dirty "
-                        f"bytes on a {image_bytes}-byte model image "
-                        "(worker copied the model?)"
-                    )
-        for mode, r in exact["modes"].items():
-            if r["mismatches"]:
+        zc = by_backend["replica"].get("zero_copy", {})
+        image_bytes = zc.get("image_bytes") or 0
+        for shard, m in zc.get("shards", {}).items():
+            dirty = m.get("mapping_private_dirty_kb", 0) * 1024
+            if m.get("mapping_rss_kb", 0) == 0:
+                problems.append(f"shard {shard}: model mapping not found")
+            elif dirty >= max(image_bytes, 4096):
                 problems.append(
-                    f"{mode}: {r['mismatches']} predictions differ from "
-                    "single-process predict_packed"
+                    f"shard {shard}: {dirty} private-dirty bytes on a "
+                    f"{image_bytes}-byte model image "
+                    "(worker copied the model?)"
                 )
+        if exact["mismatches"]:
+            problems.append(
+                f"{exact['mismatches']} predictions differ from "
+                "single-process predict_packed"
+            )
         if swap["dropped"] or swap["hung"] or swap["submit_errors"]:
             problems.append(
                 f"swap under load: dropped={swap['dropped']} "

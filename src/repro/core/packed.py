@@ -21,7 +21,7 @@ full-precision model exactly.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -322,40 +322,6 @@ class PackedModel:
         """Classify pre-packed queries by minimum (prefix) Hamming distance."""
         distances = self.hamming_to_classes(query_words, dim=dim)
         return self.class_labels[np.argmin(distances, axis=1)]
-
-    def topk_to_classes(
-        self, query_words: np.ndarray, k: int = 1,
-        dim: Optional[int] = None,
-        rows: Optional[slice] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-query ``k`` best class rows: ``(distances, row_indices)``.
-
-        Rows come back sorted by ``(distance, row index)`` -- the same
-        first-occurrence tie-break :func:`np.argmin` applies -- so a
-        router that merges per-shard top-k lists by that key reproduces
-        single-process :meth:`predict_packed` bit for bit (see
-        :mod:`repro.serve.sharded.router`).  ``rows`` restricts the
-        search to a contiguous slice of class rows (a class-partitioned
-        shard's slice); returned indices are *global* row numbers.
-        """
-        lo = 0
-        words = self.class_words
-        if rows is not None:
-            lo = rows.start or 0
-            words = words[rows]
-        q = np.atleast_2d(query_words)
-        nw = self._words_for_dim(dim)
-        if nw is None:
-            dist = packed_hamming(q[:, None, :], words[None, :, :])
-        else:
-            dist = packed_hamming(q[:, None, :nw], words[None, :, :nw])
-        n_rows = dist.shape[1]
-        k = min(int(k), n_rows)
-        # stable sort keeps equal distances in row order, i.e. the
-        # lexicographic (distance, row) key the router merge relies on
-        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        top = np.take_along_axis(dist, order, axis=1)
-        return top, order.astype(np.int64) + lo
 
     def predict(self, X: np.ndarray, dim: Optional[int] = None) -> np.ndarray:
         """Classify by minimum Hamming distance (max binary cosine)."""

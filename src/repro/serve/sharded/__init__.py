@@ -6,16 +6,12 @@ into processes while keeping exactly one physical copy of the model in
 POSIX shared memory (:mod:`repro.core.shared`).  See
 :class:`ShardedServer` for the serving core over
 :class:`ProcessExecutor`, :class:`~repro.serve.sharded.
-router.ShardRouter` for the replica / class-partitioned routing modes,
+router.ShardRouter` for shortest-queue routing over replica shards,
 and ``python -m repro.serve.sharded.bench`` for the open-loop
 saturation harness.
 """
 
-from repro.serve.sharded.router import (
-    ShardRouter,
-    merge_topk,
-    partition_classes,
-)
+from repro.serve.sharded.router import ShardRouter
 from repro.serve.sharded.server import (
     ProcessExecutor,
     ShardedServeConfig,
@@ -27,6 +23,4 @@ __all__ = [
     "ShardedServer",
     "ShardedServeConfig",
     "ShardRouter",
-    "merge_topk",
-    "partition_classes",
 ]

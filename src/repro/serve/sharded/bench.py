@@ -15,12 +15,11 @@ service's capacity, not the driver's politeness.  ``run_backends``
 trains one packed GENERIC model and pushes the same query stream
 through each backend:
 
-- ``thread``    -- InferenceServer, ``n_workers = n_shards`` threads;
-- ``replica``   -- ShardedServer, full model per shard process;
-- ``partition`` -- ShardedServer, class rows split across shards.
+- ``thread``  -- InferenceServer, ``n_workers = n_shards`` threads;
+- ``replica`` -- ShardedServer, full model per shard process.
 
 Each backend reports throughput, requests/sec/core, latency
-percentiles, per-worker utilization and (for the sharded backends) the
+percentiles, per-worker utilization and (for the sharded backend) the
 zero-copy evidence: per-worker RSS, the model image's mapped size and
 its ``Private_Dirty`` bytes -- the pages a worker would only dirty by
 *copying* model memory.
@@ -50,6 +49,9 @@ from repro.serve.server import InferenceServer, ServeConfig
 from repro.serve.sharded.server import ShardedServeConfig, ShardedServer
 
 __all__ = ["saturate", "run_backends", "main"]
+
+#: the serving backends this harness can saturate
+BACKENDS = ("thread", "replica")
 
 
 def saturate(server, queries: np.ndarray, n_requests: int,
@@ -138,7 +140,7 @@ def run_backends(
     n_shards: int = 4,
     n_requests: int = 2000,
     dim: int = 2048,
-    backends: Sequence[str] = ("thread", "replica", "partition"),
+    backends: Sequence[str] = BACKENDS,
     window: int = 128,
     max_batch: int = 32,
     seed: int = 7,
@@ -155,7 +157,7 @@ def run_backends(
             ))
         else:
             server = ShardedServer(ShardedServeConfig(
-                n_shards=n_shards, mode=backend, max_batch=max_batch,
+                n_shards=n_shards, max_batch=max_batch,
                 max_shed_level=0, default_deadline=None,
             ))
         server.register("bench", packed)
@@ -197,8 +199,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--dim", type=int, default=2048)
     parser.add_argument("--window", type=int, default=128)
     parser.add_argument("--max-batch", type=int, default=32)
-    parser.add_argument("--backends", default="thread,replica,partition",
-                        help="comma list of thread|replica|partition")
+    parser.add_argument("--backends", default=",".join(BACKENDS),
+                        help="comma list of " + "|".join(BACKENDS))
     parser.add_argument("--quick", action="store_true",
                         help="small smoke workload")
     parser.add_argument("--seed", type=int, default=7)
@@ -207,8 +209,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     backends = tuple(b.strip() for b in args.backends.split(",") if b.strip())
-    bad = [b for b in backends
-           if b not in ("thread", "replica", "partition")]
+    bad = [b for b in backends if b not in BACKENDS]
     if bad:
         parser.error(f"unknown backends: {bad}")
     if args.quick:

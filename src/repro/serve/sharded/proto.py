@@ -21,15 +21,13 @@ Parent -> worker::
 
     (DEPLOY, name, image_spec)                install/replace a model
     (SWAP, name, image_spec, ack_seq)         flip to a new epoch, ack
-    (PREDICT, seq, name, X, dim, fault_draw, ctx)  full encode+search
-    (ENCODE, seq, name, X, ctx)               encode stage only
-    (SEARCH, seq, name, query_words, dim, k, rows, ctx)  shard top-k
+    (PREDICT, seq, name, X, dim, fault_draw, ctx)  encode + search
     (ENGINE, name, engine_or_None)            degradation tier-1 toggle
     (TRACE, enabled)                          runtime tracing toggle
     (STATS, seq)                              metrics/RSS snapshot
     (STOP,)                                   exit the worker loop
 
-``ctx`` on the serving kinds is a
+``ctx`` on :data:`PREDICT` is a
 :meth:`~repro.obs.distributed.TraceContext.to_wire` tuple -- the
 submitting request's ``(trace_id, parent span_id)`` -- or ``None``.  A
 worker opens its ``serve.encode``/``serve.search`` spans under it, so
@@ -38,7 +36,7 @@ parent side.
 
 Worker -> parent::
 
-    (OK, seq, payload, records)       payload depends on request kind;
+    (OK, seq, labels, records)        the batch's predicted labels;
                                       records are the batch's finished
                                       span dicts (empty unless tracing)
     (ERR, seq, {kind, message}, records)  the exception's type name and
@@ -50,15 +48,13 @@ Worker -> parent::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 # parent -> worker kinds
 DEPLOY = "deploy"
 SWAP = "swap"
 PREDICT = "predict"
-ENCODE = "encode"
-SEARCH = "search"
 ENGINE = "engine"
 TRACE = "trace"
 STATS = "stats"
@@ -77,20 +73,15 @@ class PendingBatch:
 
     ``batch`` is the :class:`~repro.serve.server.Batch` whose futures
     this message resolves, already stamped with the shard, model
-    version and served dimensionality it was dispatched with.  For
-    partition mode the batch goes through two phases (encode on one
-    shard, then a top-k broadcast) and ``await_shards`` / ``partials``
-    track the scatter; replica mode resolves in one hop.  ``dead``
-    marks a batch that was already failed/retried (e.g. its shard
-    crashed) so straggling responses for the same seq are dropped
-    instead of double-resolving.
+    version and served dimensionality it was dispatched with; one
+    :data:`PREDICT` reply from that shard resolves it.  ``dead`` marks
+    a batch that was already failed/retried (e.g. its shard crashed) so
+    straggling responses for the same seq are dropped instead of
+    double-resolving.
     """
 
     seq: int
     batch: object
-    phase: str = PREDICT                 # PREDICT | ENCODE | SEARCH
-    await_shards: Tuple[int, ...] = ()
-    partials: Dict[int, object] = field(default_factory=dict)
     dead: bool = False
     #: span id of the parent-side ``serve.dispatch`` span bracketing
     #: this batch -- worker spans parent under it, and the span record

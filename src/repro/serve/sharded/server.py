@@ -14,12 +14,11 @@ GIL::
         +----------------+-> connection.wait -> collector thread
                                                  -> Server._resolve
 
-Routing comes in two modes (see
-:class:`~repro.serve.sharded.router.ShardRouter`): **replica** sends a
-whole batch (encode + search) to one shard by shortest-queue routing
-(fewest batches in flight); **partition** encodes on one shard picked
-the same way, broadcasts the packed query words, and exactly merges
-per-shard top-k scores -- bit-identical to single-process
+Every shard is a replica: it maps the whole model and answers a whole
+batch (encode + search) in one PREDICT round trip.
+:class:`~repro.serve.sharded.router.ShardRouter` places each batch on
+the shard with the fewest batches in flight.  Answers are bit-identical
+to single-process
 :meth:`~repro.core.packed.PackedModel.predict_packed`.
 
 Hot swap is epoch-based: ``swap()`` publishes the new model as a fresh
@@ -29,8 +28,8 @@ ordering makes an ack a proof that all pre-swap batches were answered,
 so a drained swap drops zero requests by construction.
 
 Resilience is per-shard: each shard process has a circuit breaker
-(crashes and errors open it; the router avoids open shards in replica
-mode), the supervisor respawns a dead process on a fresh pipe with the
+(crashes and errors open it; the router avoids open shards), the
+supervisor respawns a dead process on a fresh pipe with the
 current models, tracing and engine state (its in-flight batches retry
 elsewhere), and the ladder's engine fallback crosses the process
 boundary as a control message.
@@ -40,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing as mp
-import queue as std_queue
 import threading
 import time
 from dataclasses import dataclass
@@ -78,27 +76,25 @@ class ShardedServeConfig(ServeConfig):
     """The thread server's knobs plus the process-sharding ones."""
 
     n_shards: int = 2
-    #: "replica" (full model per shard) or "partition" (class-row slices)
+    #: the shard shape; "replica" (full model per shard) is the only one
     mode: str = "replica"
-    #: per-shard top-k width in partition mode (1 is enough for argmin)
-    topk: int = 1
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {self.n_shards}")
-        if self.mode not in ("replica", "partition"):
+        if self.mode != "replica":
             raise ValueError(
-                f"mode must be 'replica' or 'partition', got {self.mode!r}"
+                f"mode must be 'replica', the only shard shape; "
+                f"got {self.mode!r}"
             )
 
 
 class ProcessExecutor(Executor):
     """Shard processes over one :class:`SharedModelArena` per server.
 
-    One dispatcher thread places each batch on a shard (or, in
-    partition mode, encodes on one shard and scatters the search), one
-    collector thread turns replies into :meth:`Server._resolve` /
+    One dispatcher thread places each batch on a shard, one collector
+    thread turns replies into :meth:`Server._resolve` /
     :meth:`Server._fail_or_retry` calls, and the shard processes
     (spawned, so parent threads are safe) map every model zero-copy.
     Each shard talks over one duplex pipe: the parent writes through
@@ -208,35 +204,14 @@ class ProcessExecutor(Executor):
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
-        registry = self.server.registry
-        n_classes = None
-        if self.config.mode == "partition":
-            dims = {name: len(registry.get(name).model.class_labels)
-                    for name in registry.names()}
-            if not dims:
-                raise RuntimeError(
-                    "partition mode: register at least one model before "
-                    "start() (shards need the class-row layout)"
-                )
-            if len(set(dims.values())) != 1:
-                raise RuntimeError(
-                    "partition mode serves models with one shared class "
-                    f"count; got {dims}"
-                )
-            n_classes = next(iter(dims.values()))
-        self.router = ShardRouter(self.n_slots, mode=self.config.mode,
-                                  n_classes=n_classes)
+        self.router = ShardRouter(self.n_slots)
         self._started = True
         self._trace_sent = obs_trace.tracing_enabled()
-        self._fanout = std_queue.SimpleQueue()
         self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
         for i in range(self.n_slots):
             self._procs[i] = self._spawn(i)
-        loops = [(self._dispatch_loop, "dispatch"),
-                 (self._collect_loop, "collect")]
-        if self.config.mode == "partition":
-            loops.append((self._fanout_loop, "fanout"))
-        for target, tag in loops:
+        for target, tag in ((self._dispatch_loop, "dispatch"),
+                            (self._collect_loop, "collect")):
             t = threading.Thread(target=target, name=f"sharded-{tag}",
                                  daemon=True)
             t.start()
@@ -278,7 +253,6 @@ class ProcessExecutor(Executor):
                 proc.join(timeout=1.0)
             self._procs[i] = None
         # every pipe is at EOF now: the collector drains it and exits
-        self._fanout.put(None)
         self._wake_w.send(None)
         for t in others:
             t.join(timeout=timeout)
@@ -338,41 +312,24 @@ class ProcessExecutor(Executor):
         if batch.ctx is not None:
             pending.dispatch_span_id = obs_distributed.new_span_id()
             wire_ctx = (batch.ctx.trace_id, pending.dispatch_span_id)
-        if self.config.mode == "replica":
-            fault_draw = None
-            if server.chaos is not None:
-                draw = server.chaos.memory_fault(shard)
-                if draw is not None:
-                    spec_f, rng = draw
-                    fault_draw = (spec_f, int(rng.integers(0, 2 ** 63)))
-            msg = (proto.PREDICT, seq, batch.model, X, wire_dim, fault_draw,
-                   wire_ctx)
-        else:
-            pending.phase = proto.ENCODE
-            msg = (proto.ENCODE, seq, batch.model, X, wire_ctx)
+        fault_draw = None
+        if server.chaos is not None:
+            draw = server.chaos.memory_fault(shard)
+            if draw is not None:
+                spec_f, rng = draw
+                fault_draw = (spec_f, int(rng.integers(0, 2 ** 63)))
+        msg = (proto.PREDICT, seq, batch.model, X, wire_dim, fault_draw,
+               wire_ctx)
         with self._plock:
             self._pending[seq] = pending
         self.router.dispatched(shard)
         if not self._send(shard, msg):
             self._unsent(shard, msg)
 
-    def _fanout_loop(self) -> None:
-        # partition mode's SEARCH scatter.  A send blocks while the
-        # shard's pipe is full, and the shard may itself be blocked
-        # sending a reply that only the collector reads; so the
-        # collector queues its scatter here and never writes a pipe
-        while True:
-            item = self._fanout.get()
-            if item is None:
-                return
-            shard, msg = item
-            if not self._send(shard, msg):
-                self._unsent(shard, msg)
-
     def _unsent(self, shard: int, msg) -> None:
         """A serving message the dead shard never got: retry its batch."""
         self.router.completed(shard)
-        pending = self._take_pending(msg[1], pop=True)
+        pending = self._take_pending(msg[1])
         if pending is not None:
             self._retry(pending.batch, shard,
                         "died before the batch reached it")
@@ -422,14 +379,13 @@ class ProcessExecutor(Executor):
                 else:
                     self._handle_error(shard, seq, payload)
 
-    def _take_pending(self, seq: int,
-                      pop: bool) -> Optional[proto.PendingBatch]:
+    def _take_pending(self, seq: int) -> Optional[proto.PendingBatch]:
+        """Pop batch ``seq`` unless it is gone or already failed over."""
         with self._plock:
             pending = self._pending.get(seq)
             if pending is None or pending.dead:
                 return None
-            if pop:
-                del self._pending[seq]
+            del self._pending[seq]
             return pending
 
     def _answer(self, seq: int, shard: int, payload=None) -> None:
@@ -447,7 +403,7 @@ class ProcessExecutor(Executor):
 
     def _handle_error(self, shard_id: int, seq: int, payload: Dict) -> None:
         self.server.breakers[shard_id].record_failure()
-        pending = self._take_pending(seq, pop=True)
+        pending = self._take_pending(seq)
         if pending is not None:
             self._retry(pending.batch, shard_id,
                         f"failed serving {pending.batch.model!r}: "
@@ -459,66 +415,19 @@ class ProcessExecutor(Executor):
         for req in batch.requests:
             self.server._fail_or_retry(req, err)
 
-    def _handle_ok(self, shard_id: int, seq: int, payload) -> None:
-        pkind, data = payload
-        if pkind == proto.SEARCH:
-            with self._plock:
-                pending = self._pending.get(seq)
-                if pending is None or pending.dead:
-                    return
-                pending.partials[shard_id] = data
-                complete = (len(pending.partials)
-                            >= len(pending.await_shards))
-                if complete:
-                    del self._pending[seq]
-        else:
-            pending = self._take_pending(seq, pop=pkind == proto.PREDICT)
-            if pending is None:
-                return
+    def _handle_ok(self, shard_id: int, seq: int, labels) -> None:
+        pending = self._take_pending(seq)
+        if pending is None:
+            return
         batch = pending.batch
         self.server.breakers[shard_id].record_success(
             time.monotonic() - batch.t_start)
-        if pkind == proto.PREDICT:
-            self._finish(pending, data)
-        elif pkind == proto.ENCODE:
-            # phase 2: broadcast the packed query words; every shard
-            # answers a top-k over its class-row slice
-            pending.phase = proto.SEARCH
-            pending.await_shards = targets = tuple(range(self.n_slots))
-            wire_dim = None if batch.dim >= batch.full_dim else batch.dim
-            wire_ctx = ((batch.ctx.trace_id, pending.dispatch_span_id)
-                        if batch.ctx is not None else None)
-            for s in targets:
-                rows = self.router.shard_rows(s)
-                self.router.dispatched(s)
-                self._fanout.put((s, (
-                    proto.SEARCH, seq, batch.model, data, wire_dim,
-                    self.config.topk, (rows.start, rows.stop), wire_ctx,
-                )))
-        elif complete:  # the last SEARCH partial: merge and answer
-            t_merge = time.monotonic()
-            _, rows = self.router.merge(pending.partials, k=self.config.topk)
-            labels = (self.server.registry.get(batch.model)
-                      .model.class_labels[rows[:, 0]])
-            if batch.ctx is not None:
-                obs_trace.emit_span(
-                    "serve.merge", time.monotonic() - t_merge,
-                    attrs={"model": batch.model,
-                           "shards": len(pending.partials)},
-                    ctx=obs_distributed.TraceContext(
-                        batch.ctx.trace_id, pending.dispatch_span_id),
-                )
-            self._finish(pending, labels)
-
-    def _finish(self, pending: proto.PendingBatch, labels) -> None:
-        batch = pending.batch
         if batch.ctx is not None:
             # the dispatch->resolve bracket: parent of every worker
             # span of this batch, child of the leader request's root
             obs_trace.emit_span(
                 "serve.dispatch", time.monotonic() - batch.t_start,
                 attrs={"model": batch.model, "shard": batch.slot,
-                       "mode": self.config.mode,
                        "batch": len(batch.requests)},
                 ctx=batch.ctx, span_id=pending.dispatch_span_id,
             )
@@ -543,10 +452,7 @@ class ProcessExecutor(Executor):
         """Retry the dead shard's batches; stop waiting on its replies."""
         with self._plock:
             doomed = [p for p in self._pending.values()
-                      if p.batch.slot == shard
-                      or (p.phase == proto.SEARCH
-                          and shard in p.await_shards
-                          and shard not in p.partials)]
+                      if p.batch.slot == shard]
             for p in doomed:
                 p.dead = True
                 self._pending.pop(p.seq, None)
@@ -632,7 +538,6 @@ class ProcessExecutor(Executor):
         snap["shards"] = self.shard_stats()
         snap["shard_metrics"] = self.shard_registry.snapshot()
         snap["router"] = {
-            "mode": self.config.mode,
             "n_shards": self.n_slots,
             "loads": self.router.loads() if self.router else None,
         }

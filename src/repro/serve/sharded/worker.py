@@ -10,9 +10,6 @@ duplex pipe, one at a time and in order:
 
 - :data:`~repro.serve.sharded.proto.PREDICT` runs both inference
   stages (encode + prefix-Hamming search) on the batch;
-- :data:`~repro.serve.sharded.proto.ENCODE` /
-  :data:`~repro.serve.sharded.proto.SEARCH` split the stages for the
-  class-partitioned mode (encode once on one shard, top-k everywhere);
 - :data:`~repro.serve.sharded.proto.SWAP` attaches the next epoch's
   segment, flips the served model, detaches the old mapping and acks --
   FIFO ordering means the ack certifies every pre-swap batch answered;
@@ -23,7 +20,7 @@ duplex pipe, one at a time and in order:
   (the parent forwards its own tracing state so ``--trace out.jsonl``
   sessions capture worker spans).
 
-When tracing is on, the serving kinds open ``serve.encode`` /
+When tracing is on, a PREDICT opens ``serve.encode`` /
 ``serve.search`` spans under the :class:`~repro.obs.distributed.
 TraceContext` wired in with the message, buffer the finished records
 locally, and ship them back on the batch's ``OK`` or ``ERR`` reply --
@@ -234,52 +231,33 @@ def worker_main(shard_id: int, conn,
                 conn.send((proto.STATS_R, msg[1], state.stats()))
                 continue
 
-            # -- the serving kinds: PREDICT / ENCODE / SEARCH ----------------
-            seq, name = msg[1], msg[2]
-            ctx = obs_distributed.TraceContext.from_wire(msg[-1])
+            # -- the serving kind: PREDICT -----------------------------------
+            seq = msg[1]
             t0 = time.monotonic()
             try:
+                if kind != proto.PREDICT:
+                    raise ValueError(f"unknown message kind {kind!r}")
+                _, _, name, X, dim, fault_draw, wire_ctx = msg
+                ctx = obs_distributed.TraceContext.from_wire(wire_ctx)
                 model = state.model(name)
                 with obs_distributed.use_context(ctx):
-                    if kind == proto.SEARCH:
-                        _, _, _, words, dim, k, rows, _ = msg
-                        with obs_trace.span("serve.search", shard=shard_id,
-                                            model=name):
-                            payload = (proto.SEARCH, model.topk_to_classes(
-                                words, k=k, dim=dim, rows=slice(*rows)))
-                        hist.labels(stage="search").record(
-                            time.monotonic() - t0)
-                    elif kind in (proto.PREDICT, proto.ENCODE):
-                        X = msg[3]
-                        with obs_trace.span("serve.encode", shard=shard_id,
-                                            model=name, batch=len(X)):
-                            words = model.encode_packed(X)
-                        t1 = time.monotonic()
-                        hist.labels(stage="encode").record(t1 - t0)
-                        payload = (proto.ENCODE, words)
-                        if kind == proto.PREDICT:
-                            _, _, _, _, dim, fault_draw, _ = msg
-                            scored = model
-                            if fault_draw is not None:
-                                spec_f, child_seed = fault_draw
-                                rng = np.random.default_rng(child_seed)
-                                scored = model.with_words(spec_f.corrupt_words(
-                                    model.class_words, rng))
-                            with obs_trace.span("serve.search",
-                                                shard=shard_id, model=name,
-                                                batch=len(X)):
-                                labels = scored.predict_packed(words, dim=dim)
-                            payload = (proto.PREDICT, labels)
-                            hist.labels(stage="search").record(
-                                time.monotonic() - t1)
-                        # partition mode: this process's own tally counts
-                        # a request at the shard that encoded it (every
-                        # shard searches it); the parent's per-shard count
-                        # waits until the request resolves
-                        served_ctr.inc(len(X))
-                        state.served += len(X)
-                    else:
-                        raise ValueError(f"unknown message kind {kind!r}")
+                    with obs_trace.span("serve.encode", shard=shard_id,
+                                        model=name, batch=len(X)):
+                        words = model.encode_packed(X)
+                    t1 = time.monotonic()
+                    hist.labels(stage="encode").record(t1 - t0)
+                    scored = model
+                    if fault_draw is not None:
+                        spec_f, child_seed = fault_draw
+                        rng = np.random.default_rng(child_seed)
+                        scored = model.with_words(spec_f.corrupt_words(
+                            model.class_words, rng))
+                    with obs_trace.span("serve.search", shard=shard_id,
+                                        model=name, batch=len(X)):
+                        payload = scored.predict_packed(words, dim=dim)
+                    hist.labels(stage="search").record(time.monotonic() - t1)
+                served_ctr.inc(len(X))
+                state.served += len(X)
             except BaseException as exc:  # noqa: BLE001 - ships to parent
                 errors_ctr.inc()
                 reply = proto.ERR

@@ -265,7 +265,13 @@ class BackgroundTrainer:
     def _retrain(self, encodings: np.ndarray, labels: np.ndarray,
                  reason: str):
         base = self._source()
-        encodings = np.asarray(encodings, dtype=np.float64)
+        # the replay window holds the encoder's integer counts: float32
+        # holds them exactly whenever the encoder's count bound fits its
+        # significand, and an integer dtype spares the planner its scan
+        integral = np.issubdtype(encodings.dtype, np.integer)
+        f32 = integral and base.encoder.holds_counts(np.float32)
+        encodings = np.asarray(encodings,
+                               dtype=np.float32 if f32 else np.float64)
         y_idx = np.searchsorted(base.classes_, labels)
         # drop samples whose label never appeared at fit time: the class
         # memory layout is fixed, as on the hardware
@@ -282,16 +288,17 @@ class BackgroundTrainer:
             clone.epochs = self.epochs
         if self.init == "window":
             present = np.unique(y_idx)
-            onehot = np.zeros((len(y_idx), len(base.classes_)))
-            onehot[np.arange(len(y_idx)), y_idx] = 1.0
-            window_model = onehot.T @ encodings
+            window_model = training.class_sums(
+                encodings, y_idx, len(base.classes_),
+                count_bound=base.encoder.max_abs_count)
             clone.model_[present] = window_model[present]
             clone.norms_.recompute(clone.model_)
         with obs_trace.span(
             "stream.retrain", reason=reason, samples=len(encodings),
             init=self.init, epochs=clone.epochs,
         ) as sp:
-            report = training.retrain(clone, encodings, y_idx)
+            report = training.retrain(clone, encodings, y_idx,
+                                      assume_integral=integral)
             if sp.recording:
                 sp.set(
                     engine=clone.train_plan_.engine,

@@ -19,7 +19,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.export import CollectorSink
 from repro.serve import InferenceServer, ServeConfig
 from repro.serve.resilience import BreakerConfig, ChaosPolicy, DegradeConfig
-from repro.serve.sharded import ShardedServeConfig, ShardedServer, proto
+from repro.serve.sharded import ShardedServeConfig, ShardedServer
 from repro.serve.sharded.server import STATS_TIMEOUT, SWAP_ACK_TIMEOUT
 from repro.stream import StreamConfig, StreamLoop
 
@@ -102,56 +102,45 @@ class TestReplicaMode:
 
     def test_stats_snapshot_shape(self, replica_server):
         snap = replica_server.stats()
-        assert snap["router"]["mode"] == "replica"
+        assert snap["router"]["n_shards"] == 2
         dep = snap["deployments"]["m"]
         assert dep["segment"] is not None and dep["epoch"] >= 1
 
     def test_no_queue_feeder_threads_in_the_parent(self, replica_server,
                                                    serve_queries):
         # one pipe per shard, written synchronously: no mp.Queue, so no
-        # feeder thread pickling behind the dispatcher's back
+        # feeder thread pickling behind the dispatcher's back, and no
+        # thread beside the dispatcher and the collector
         replica_server.predict_many("m", serve_queries[:16], timeout=60.0)
         names = [t.name for t in threading.enumerate()]
         assert not [n for n in names if "QueueFeeder" in n], names
+        assert sorted(n for n in names if n.startswith("sharded-")) == [
+            "sharded-collect", "sharded-dispatch"], names
 
-
-class TestPartitionMode:
-    def test_bit_exact_vs_single_process(self, serve_classifier,
-                                         serve_packed, serve_queries):
-        server = ShardedServer(_config(mode="partition"))
-        server.register("m", serve_classifier)
-        q = serve_queries[:24]
-        ref = serve_packed.predict_packed(serve_packed.encode_packed(q))
-        with server:
-            preds = server.predict_many("m", q, timeout=60.0)
-            np.testing.assert_array_equal([p.label for p in preds], ref)
-        assert _no_leaked_segments(server)
-
-    def test_partition_requires_registered_model(self):
-        server = ShardedServer(_config(mode="partition"))
-        with pytest.raises(RuntimeError, match="partition mode"):
-            server.start()
+    def test_replica_is_the_only_mode(self):
+        assert ShardedServeConfig(mode="replica").mode == "replica"
+        with pytest.raises(ValueError, match="'replica', the only"):
+            ShardedServeConfig(mode="partition")
 
 
 def _lose_first_answer(server):
     """Turn the first answering reply into a shard error; returns the log.
 
-    The first PREDICT, or the first SEARCH partial after a successful
-    ENCODE, is handled as an ``ERR`` instead, so its requests retry and
-    are encoded a second time.
+    The first PREDICT reply is handled as an ``ERR`` instead, so its
+    requests retry and are encoded a second time.
     """
     executor = server.executor
     handle_ok = executor._handle_ok
     failed = []
 
-    def flaky(shard_id, seq, payload):
-        if payload[0] in (proto.PREDICT, proto.SEARCH) and not failed:
+    def flaky(shard_id, seq, labels):
+        if not failed:
             failed.append(seq)
             executor._handle_error(shard_id, seq, {
                 "kind": "InjectedFault", "message": "reply lost",
             })
             return
-        handle_ok(shard_id, seq, payload)
+        handle_ok(shard_id, seq, labels)
 
     executor._handle_ok = flaky
     return failed
@@ -159,15 +148,14 @@ def _lose_first_answer(server):
 
 @pytest.mark.parametrize("fail_first", [False, True],
                          ids=["no-fault", "failed-reply"])
-@pytest.mark.parametrize("mode", ["replica", "partition", "thread"])
+@pytest.mark.parametrize("mode", ["replica", "thread"])
 def test_per_shard_served_sums_to_server_served(mode, fail_first,
                                                 serve_classifier,
                                                 serve_queries):
-    # each request counts once, at the slot that answered it (in
-    # partition mode the shard that encoded it; every shard searches
-    # it).  On the thread executor the faulty variant injects chaos
-    # faults and kills and gives some requests an already-spent
-    # deadline, so failed, retried and expired requests must not count.
+    # each request counts once, at the slot that answered it.  On the
+    # thread executor the faulty variant injects chaos faults and kills
+    # and gives some requests an already-spent deadline, so failed,
+    # retried and expired requests must not count.
     if mode == "thread":
         chaos = (ChaosPolicy(fault_rate=0.2, kill_rate=0.05, max_kills=2,
                              seed=0) if fail_first else None)
@@ -205,10 +193,10 @@ def test_per_shard_served_sums_to_server_served(mode, fail_first,
     assert sum(per_shard) == counters["served"]
 
 
-@pytest.mark.parametrize("mode", ["replica", "partition"])
+@pytest.mark.parametrize("mode", ["replica"])
 def test_failed_reply_leaves_no_router_load(mode, serve_classifier,
                                             serve_queries):
-    # every SEARCH/ERR reply releases its shard's router load, including
+    # every OK/ERR reply releases its shard's router load, including
     # replies for a batch that an earlier error already failed
     server = ShardedServer(_config(mode=mode, max_retries=4,
                                    retry_backoff=0.01))
@@ -233,13 +221,12 @@ def _settled_loads(server, timeout=10.0):
     return server.router.loads()
 
 
-@pytest.mark.parametrize("mode", ["replica", "partition"])
+@pytest.mark.parametrize("mode", ["replica"])
 def test_router_loads_reconcile_after_a_run(mode, serve_classifier,
                                             serve_queries):
     # shortest-queue routing steers every batch away from a shard whose
     # load leaked, so the in-flight count must return to zero: one
-    # release per PREDICT reply (replica), per ENCODE reply and per
-    # SEARCH partial of the broadcast (partition)
+    # release per PREDICT reply
     server = ShardedServer(_config(mode=mode))
     server.register("m", serve_classifier)
     with server:
@@ -250,7 +237,7 @@ def test_router_loads_reconcile_after_a_run(mode, serve_classifier,
         assert all(server.worker_utilization()["served"])
 
 
-@pytest.mark.parametrize("mode", ["replica", "partition"])
+@pytest.mark.parametrize("mode", ["replica"])
 def test_router_loads_reconcile_after_kill_and_respawn(
         mode, serve_classifier, serve_packed, serve_queries):
     # a killed shard's in-flight batches fail over and its load resets

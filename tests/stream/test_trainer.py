@@ -102,6 +102,30 @@ class TestBackgroundTrainer:
             trainer.stop()
         assert clones[0].train_plan_.engine == "gram"
 
+    def test_integer_window_trains_on_float32_exactly(
+            self, stream_classifier, drifted_window):
+        # an int32 window retrains on float32 encodings (the encoder's
+        # counts fit its significand) and lands on the very model and
+        # norm table a float64 copy of the same window trains to
+        enc, labels = drifted_window
+        clones = []
+        trainer = BackgroundTrainer(
+            lambda: stream_classifier, lambda c, r: clones.append(c),
+            epochs=3,
+        ).start()
+        try:
+            for window in (enc, np.asarray(enc, np.float64)):
+                assert trainer.request(window, labels)
+                assert trainer.wait_idle(timeout=30.0)
+        finally:
+            trainer.stop()
+        f32, f64 = clones
+        assert enc.dtype == np.int32
+        assert f32.train_plan_.encodings_dtype == "float32"
+        assert f64.train_plan_.encodings_dtype == "float64"
+        np.testing.assert_array_equal(f32.model_, f64.model_)
+        np.testing.assert_array_equal(f32.norms_.table, f64.norms_.table)
+
     def test_warm_init_keeps_old_rows_as_start(self, stream_classifier,
                                                drifted_window):
         enc, labels = drifted_window
